@@ -36,7 +36,6 @@ import sys
 from repro.fault import report
 from repro.fault.campaign import Campaign
 from repro.fault.combinator import STRATEGIES as _STRATEGIES
-from repro.fault.phantom import PhantomCampaign
 from repro.fault.testlog import CampaignLog
 from repro.xm.vulns import FIXED_VERSION, VULNERABLE_VERSION
 
@@ -948,6 +947,8 @@ def _cmd_results(args: argparse.Namespace) -> int:
 
 
 def _cmd_phantom(_args: argparse.Namespace) -> int:
+    from repro.fault.phantom import PhantomCampaign
+
     result = PhantomCampaign().run()
     print(f"phantom cases executed : {len(result.records)}")
     print(f"failures               : {len(result.failures)}")

@@ -9,21 +9,23 @@ stealing and quorum-arbitrated killer verdicts.  See the "Distributed
 fabric" section of docs/ARCHITECTURE.md.
 """
 
-from repro.fabric.config import PROTOCOL_VERSION, FabricConfig, FabricError
-from repro.fabric.coordinator import FabricCoordinator, coordinate
-from repro.fabric.frames import MAX_FRAME, FrameError, encode_frame, read_frame
-from repro.fabric.worker import WorkerAgent, run_worker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "FabricConfig",
-    "FabricError",
-    "FabricCoordinator",
-    "coordinate",
-    "MAX_FRAME",
-    "FrameError",
-    "encode_frame",
-    "read_frame",
-    "WorkerAgent",
-    "run_worker",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "PROTOCOL_VERSION": "config.PROTOCOL_VERSION",
+    "FabricConfig": "config.FabricConfig",
+    "FabricError": "config.FabricError",
+    "FabricCoordinator": "coordinator.FabricCoordinator",
+    "coordinate": "coordinator.coordinate",
+    "MAX_FRAME": "frames.MAX_FRAME",
+    "FrameError": "frames.FrameError",
+    "encode_frame": "frames.encode_frame",
+    "read_frame": "frames.read_frame",
+    "WorkerAgent": "worker.WorkerAgent",
+    "run_worker": "worker.run_worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -70,10 +70,12 @@ class WorkerAgent:
         self.flush_interval_s = flush_interval_s
         self.connect_attempts = connect_attempts
         self.connect_delay_s = connect_delay_s
-        #: Spec indices revoked (stolen) from this worker's current
+        #: Lease number -> spec indices revoked (stolen) from that
         #: lease; read by the execution thread, written by the event
-        #: loop's reader task.
-        self._revoked: set[int] = set()
+        #: loop's reader task.  Keyed by lease because a stolen index
+        #: can come back to this worker in a later lease (re-queued
+        #: after the thief died), and must run there.
+        self._revoked: dict[int, set[int]] = {}
         self._revoked_lock = threading.Lock()
         #: (config-dict JSON, executor, spec table, plan) cached across
         #: reconnects: rebuilding the warm-boot snapshot and compiled
@@ -150,6 +152,10 @@ class WorkerAgent:
                 f"{welcome.get('protocol')}, this agent {PROTOCOL_VERSION}"
             )
         state = self._build_state(welcome.get("config") or {})
+        # Lease numbers are per coordinator: a reconnect may be talking
+        # to a restarted one that counts from 1 again.
+        with self._revoked_lock:
+            self._revoked.clear()
 
         incoming: asyncio.Queue = asyncio.Queue()
 
@@ -165,7 +171,8 @@ class WorkerAgent:
                 kind = frame.get("type")
                 if kind == "revoke":
                     with self._revoked_lock:
-                        self._revoked.update(frame.get("indices", ()))
+                        revoked = self._revoked.setdefault(frame.get("lease"), set())
+                        revoked.update(frame.get("indices", ()))
                 elif kind in ("lease", "done"):
                     incoming.put_nowait(frame)
                 # Unknown control frames are ignored: a newer
@@ -246,7 +253,17 @@ class WorkerAgent:
         batches: asyncio.Queue = asyncio.Queue()
 
         def submit(batch: list[dict]) -> None:
-            loop.call_soon_threadsafe(batches.put_nowait, batch)
+            if flush_n == 1:
+                # Per-record leases probe the suspects of a worker
+                # death: a record must be on the wire before the next
+                # test runs, or a death in that test would leave the
+                # coordinator blaming the innocent one still queued.
+                message = {
+                    "type": "records", "lease": lease_no, "records": batch
+                }
+                asyncio.run_coroutine_threadsafe(send(message), loop).result()
+            else:
+                loop.call_soon_threadsafe(batches.put_nowait, batch)
 
         async def pump() -> None:
             while True:
@@ -260,7 +277,7 @@ class WorkerAgent:
         try:
             stats, phases = await asyncio.to_thread(
                 self._run_indices, config, executor, table, plan,
-                indices, flush_n, submit,
+                lease_no, indices, flush_n, submit,
             )
             # Every submit() ran before to_thread resolved (both arrive
             # via call_soon_threadsafe, FIFO), so join() sees them all.
@@ -273,6 +290,8 @@ class WorkerAgent:
             await send(done_frame)
         finally:
             pump_task.cancel()
+            with self._revoked_lock:
+                self._revoked.pop(lease_no, None)
 
     def _run_indices(
         self,
@@ -280,16 +299,17 @@ class WorkerAgent:
         executor: TestExecutor,
         table: list,
         plan,  # noqa: ANN001 - CompiledPlan | None
+        lease_no: int,
         indices: list[int],
         flush_n: int,
         submit,  # noqa: ANN001
     ) -> tuple[dict, dict]:
         """Execution-thread body: the fabric's ``run_shard_payload``.
 
-        Runs the leased indices in order, skipping any revoked before
-        they start (a stolen index already running just finishes — the
-        coordinator dedups by test id).  Returns (reset-stat deltas,
-        phase-time deltas) for the lease-done frame.
+        Runs the leased indices in order, skipping any revoked from
+        this lease before they start (a stolen index already running
+        just finishes — the coordinator dedups by test id).  Returns
+        (reset-stat deltas, phase-time deltas) for the lease-done frame.
         """
         stats_before = dict(executor.reset_stats)
         phases_before = dict(executor.phase_times) if config.profile else {}
@@ -307,7 +327,7 @@ class WorkerAgent:
 
         def skip(index: int) -> bool:
             with self._revoked_lock:
-                return index in self._revoked
+                return index in self._revoked.get(lease_no, ())
 
         def gate(test_id: str) -> None:
             if _kill_injected(test_id):

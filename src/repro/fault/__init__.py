@@ -23,96 +23,65 @@ Pipeline (Figs. 1, 4 and 5 of the paper):
 7. :mod:`~repro.fault.report` — Tables I-III, Fig. 8 and the issue list.
 """
 
-from repro.fault.dictionaries import (
-    DictionarySet,
-    Symbol,
-    TestValue,
-    TypeDictionary,
-    builtin_dictionaries,
-)
-from repro.fault.apimodel import ApiFunction, ApiParameter, api_model_from_table
-from repro.fault.matrix import TestValueMatrix, build_matrix
-from repro.fault.combinator import (
-    CartesianStrategy,
-    OneFactorStrategy,
-    PairwiseStrategy,
-    RandomSampleStrategy,
-    combinations_total,
-)
-from repro.fault.mutant import MutantSource, TestCallSpec, generate_mutants
-from repro.fault.testlog import CampaignLog, TestRecord
-from repro.fault.oracle import Expectation, OracleContext, ReferenceOracle
-from repro.fault.classify import Classification, FailureKind, Severity, classify
-from repro.fault.issues import Issue, cluster_issues
-from repro.fault.executor import ExecutionResult, TestExecutor
-from repro.fault.campaign import Campaign, CampaignResult
-from repro.fault.truthbase import TruthBase, build_truthbase, compare_to_truthbase
-from repro.fault.feedback import (
-    extend_dictionaries,
-    offending_values,
-    regression_dictionaries,
-    value_effectiveness,
-)
-from repro.fault.stress import StressComparison, StressExecutor, run_stress_comparison
-from repro.fault.stateful_oracle import StatefulOracle, capture_state, classify_stateful
-from repro.fault.regression import replay as replay_known_vulnerabilities
-from repro.fault.regression import vulnerability_specs
-from repro.fault.phantom import PhantomCampaign, PhantomState
-from repro.fault.dossier import build_dossier, write_dossier
-from repro.fault import report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DictionarySet",
-    "Symbol",
-    "TestValue",
-    "TypeDictionary",
-    "builtin_dictionaries",
-    "ApiFunction",
-    "ApiParameter",
-    "api_model_from_table",
-    "TestValueMatrix",
-    "build_matrix",
-    "CartesianStrategy",
-    "OneFactorStrategy",
-    "PairwiseStrategy",
-    "RandomSampleStrategy",
-    "combinations_total",
-    "MutantSource",
-    "TestCallSpec",
-    "generate_mutants",
-    "CampaignLog",
-    "TestRecord",
-    "Expectation",
-    "OracleContext",
-    "ReferenceOracle",
-    "Classification",
-    "FailureKind",
-    "Severity",
-    "classify",
-    "Issue",
-    "cluster_issues",
-    "ExecutionResult",
-    "TestExecutor",
-    "Campaign",
-    "CampaignResult",
-    "TruthBase",
-    "build_truthbase",
-    "compare_to_truthbase",
-    "extend_dictionaries",
-    "offending_values",
-    "regression_dictionaries",
-    "value_effectiveness",
-    "StressComparison",
-    "StressExecutor",
-    "run_stress_comparison",
-    "StatefulOracle",
-    "capture_state",
-    "classify_stateful",
-    "replay_known_vulnerabilities",
-    "vulnerability_specs",
-    "PhantomCampaign",
-    "PhantomState",
-    "build_dossier",
-    "write_dossier",
-    "report",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "DictionarySet": "dictionaries.DictionarySet",
+    "Symbol": "dictionaries.Symbol",
+    "TestValue": "dictionaries.TestValue",
+    "TypeDictionary": "dictionaries.TypeDictionary",
+    "builtin_dictionaries": "dictionaries.builtin_dictionaries",
+    "ApiFunction": "apimodel.ApiFunction",
+    "ApiParameter": "apimodel.ApiParameter",
+    "api_model_from_table": "apimodel.api_model_from_table",
+    "TestValueMatrix": "matrix.TestValueMatrix",
+    "build_matrix": "matrix.build_matrix",
+    "CartesianStrategy": "combinator.CartesianStrategy",
+    "OneFactorStrategy": "combinator.OneFactorStrategy",
+    "PairwiseStrategy": "combinator.PairwiseStrategy",
+    "RandomSampleStrategy": "combinator.RandomSampleStrategy",
+    "combinations_total": "combinator.combinations_total",
+    "MutantSource": "mutant.MutantSource",
+    "TestCallSpec": "mutant.TestCallSpec",
+    "generate_mutants": "mutant.generate_mutants",
+    "CampaignLog": "testlog.CampaignLog",
+    "TestRecord": "testlog.TestRecord",
+    "Expectation": "oracle.Expectation",
+    "OracleContext": "oracle.OracleContext",
+    "ReferenceOracle": "oracle.ReferenceOracle",
+    "Classification": "classify.Classification",
+    "FailureKind": "classify.FailureKind",
+    "Severity": "classify.Severity",
+    "classify": "classify.classify",
+    "Issue": "issues.Issue",
+    "cluster_issues": "issues.cluster_issues",
+    "ExecutionResult": "executor.ExecutionResult",
+    "TestExecutor": "executor.TestExecutor",
+    "Campaign": "campaign.Campaign",
+    "CampaignResult": "campaign.CampaignResult",
+    "TruthBase": "truthbase.TruthBase",
+    "build_truthbase": "truthbase.build_truthbase",
+    "compare_to_truthbase": "truthbase.compare_to_truthbase",
+    "extend_dictionaries": "feedback.extend_dictionaries",
+    "offending_values": "feedback.offending_values",
+    "regression_dictionaries": "feedback.regression_dictionaries",
+    "value_effectiveness": "feedback.value_effectiveness",
+    "StressComparison": "stress.StressComparison",
+    "StressExecutor": "stress.StressExecutor",
+    "run_stress_comparison": "stress.run_stress_comparison",
+    "StatefulOracle": "stateful_oracle.StatefulOracle",
+    "capture_state": "stateful_oracle.capture_state",
+    "classify_stateful": "stateful_oracle.classify_stateful",
+    "replay_known_vulnerabilities": "regression.replay",
+    "vulnerability_specs": "regression.vulnerability_specs",
+    "PhantomCampaign": "phantom.PhantomCampaign",
+    "PhantomState": "phantom.PhantomState",
+    "build_dossier": "dossier.build_dossier",
+    "write_dossier": "dossier.write_dossier",
+    "report": "report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

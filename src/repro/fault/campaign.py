@@ -27,25 +27,22 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.fault import failpoints, wire
 from repro.fault.apimodel import ApiFunction, ApiModel, api_model_from_table
 from repro.fault.classify import Classification, Severity, classify
 from repro.fault.combinator import CartesianStrategy, GenerationStrategy
 from repro.fault.dictionaries import DictionarySet
-from repro.fault.executor import (
-    DEFAULT_FRAMES,
-    DEFAULT_JOURNAL_BUDGET,
-    TestExecutor,
-    _init_worker,
-    run_shard_payload,
-    worker_killed_record,
-)
 from repro.fault.issues import Issue, cluster_issues
 from repro.fault.mutant import TestCallSpec, default_layout
 from repro.fault.oracle import Expectation, OracleContext, ReferenceOracle
-from repro.fault.plan import CompiledPlan, group_consecutive
+from repro.fault.plan import (
+    DEFAULT_FRAMES,
+    DEFAULT_JOURNAL_BUDGET,
+    CompiledPlan,
+    group_consecutive,
+)
 from repro.fault.resilience import (
     Quarantine,
     RespawnBreaker,
@@ -55,6 +52,9 @@ from repro.fault.resilience import (
 )
 from repro.fault.testlog import CampaignLog, TestRecord
 from repro.xm.vulns import VULNERABLE_VERSION
+
+if TYPE_CHECKING:  # the executor loads the simulator: run paths import it
+    from repro.fault.executor import TestExecutor
 
 
 @dataclass
@@ -512,6 +512,8 @@ class Campaign:
         policy: RetryPolicy | None = None,
         stats: dict | None = None,
     ) -> list[TestRecord]:
+        from repro.fault.executor import TestExecutor
+
         executor = TestExecutor(
             kernel_version=self.kernel_version,
             frames=self.frames,
@@ -652,6 +654,8 @@ class Campaign:
         sandboxed — one warning per hook, a raising callback never
         aborts the round (keyboard interrupts still do).
         """
+        from repro.fault.executor import worker_killed_record
+
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         if shard_size is not None and shard_size < 1:
@@ -866,6 +870,8 @@ class Campaign:
         import threading
         from concurrent.futures import CancelledError, ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
+
+        from repro.fault.executor import _init_worker, run_shard_payload
 
         failpoints.fire("campaign.pool_round")
         context = (

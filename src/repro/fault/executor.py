@@ -51,7 +51,12 @@ from typing import Iterator
 
 from repro.fault import failpoints
 from repro.fault.mutant import TestCallSpec, TestPartitionLayout, default_layout
-from repro.fault.plan import CompiledPlan, PlanEntry
+from repro.fault.plan import (
+    DEFAULT_FRAMES,
+    DEFAULT_JOURNAL_BUDGET,
+    CompiledPlan,
+    PlanEntry,
+)
 from repro.fault.stateful_oracle import capture_state
 from repro.fault.testlog import Invocation, TestRecord
 from repro.testbed import build_system
@@ -67,13 +72,8 @@ from repro.tsim.simulator import (
 from repro.xm.errors import NoReturnFromHypercall
 from repro.xm.vulns import VULNERABLE_VERSION
 
-#: Major frames per test run ("a selected number of cyclic schedules").
-DEFAULT_FRAMES = 2
 #: Console lines kept in the record.
 CONSOLE_TAIL = 8
-#: Default cap on board-memory bytes a single delta reset may revert; a
-#: test that dirties more falls back to a full snapshot restore.
-DEFAULT_JOURNAL_BUDGET = 1 << 20
 
 #: Fault-injection hooks for the campaign supervisor's own tests: a
 #: worker that is handed a named test id dies (or spins until the

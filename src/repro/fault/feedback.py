@@ -8,7 +8,7 @@ This module closes that loop mechanically:
   (dictionary, value) pairs participated in failing test cases and how
   often — the raw material for the next campaign's dictionaries;
 - :func:`value_effectiveness` scores every dictionary entry by the
-  failures it participated in (a vectorised param×value attribution);
+  failures it participated in (a param×value attribution);
 - :func:`extend_dictionaries` folds offending literal values into a
   dictionary set, so a campaign against kernel N+1 inherits what
   kernel N taught.
@@ -16,11 +16,10 @@ This module closes that loop mechanically:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.fault.campaign import Campaign, CampaignResult
+from repro.fault.campaign import CampaignResult
 from repro.fault.dictionaries import DictionarySet, TestValue, TypeDictionary
 
 
@@ -50,40 +49,28 @@ def _param_dictionaries(result: CampaignResult) -> dict[str, list[str]]:
 def value_effectiveness(result: CampaignResult) -> list[OffendingValue]:
     """Score every (dictionary, label) by participation in failures.
 
-    Uses a vectorised two-pass tally: one pass builds the index of
-    (dictionary, label) pairs, a NumPy pass accumulates appearance and
-    failure counts.
+    One pass over the classified records tallies, per (dictionary,
+    label) pair, the tests it appeared in and the failures among them.
     """
     dict_by_fn = _param_dictionaries(result)
-    keys: dict[tuple[str, str], int] = {}
-    rows: list[int] = []
-    fails: list[bool] = []
+    tests: Counter[tuple[str, str]] = Counter()
+    failures: Counter[tuple[str, str]] = Counter()
     for record, _expectation, classification in result.classified:
         param_dicts = dict_by_fn.get(record.function)
         if param_dicts is None:
             continue
-        failed = classification.is_failure
-        for dictionary, label in zip(param_dicts, record.arg_labels):
-            key = (dictionary, label)
-            index = keys.setdefault(key, len(keys))
-            rows.append(index)
-            fails.append(failed)
-    if not rows:
-        return []
-    row_arr = np.asarray(rows, dtype=np.int64)
-    fail_arr = np.asarray(fails, dtype=np.int64)
-    tests = np.bincount(row_arr, minlength=len(keys))
-    failures = np.bincount(row_arr, weights=fail_arr, minlength=len(keys)).astype(
-        np.int64
-    )
+        pairs = list(zip(param_dicts, record.arg_labels))
+        tests.update(pairs)
+        if classification.is_failure:
+            failures.update(pairs)
     scored = [
         OffendingValue(
             dictionary=dictionary,
             label=label,
-            failures=int(failures[index]),
-            tests=int(tests[index]),
+            failures=failures[(dictionary, label)],
+            tests=count,
         )
-        for (dictionary, label), index in keys.items()
+        for (dictionary, label), count in tests.items()
     ]
     scored.sort(key=lambda v: (-v.failure_rate, -v.failures, v.dictionary, v.label))
     return scored

@@ -33,6 +33,12 @@ from repro.xm import rc
 from repro.xm.api import hypercall_by_name
 from repro.xtypes import default_registry
 
+#: Major frames per test run ("a selected number of cyclic schedules").
+DEFAULT_FRAMES = 2
+#: Default cap on board-memory bytes a single delta reset may revert; a
+#: test that dirties more falls back to a full snapshot restore.
+DEFAULT_JOURNAL_BUDGET = 1 << 20
+
 
 class PlanEntry:
     """Everything about one spec that is knowable before execution.

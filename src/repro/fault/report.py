@@ -12,6 +12,7 @@ from repro.fault.apimodel import ApiModel, api_model_from_table, category_order
 from repro.fault.campaign import CampaignResult
 from repro.fault.classify import Severity
 from repro.fault.dictionaries import DictionarySet
+from repro.fault.stats import severity_matrix
 from repro.xtypes import default_registry
 
 #: Table III as printed in the paper: category -> (total, tested, tests,
@@ -277,8 +278,6 @@ def severity_summary(result: CampaignResult) -> str:
 
 def severity_heatmap(result: CampaignResult) -> str:
     """Category × severity count matrix (failures only) as text."""
-    from repro.fault.stats import severity_matrix
-
     categories, matrix = severity_matrix(result)
     failure_severities = [s for s in Severity if s is not Severity.PASS]
     headers = ["Category"] + [s.value[:6] for s in failure_severities]

@@ -1,111 +1,69 @@
-"""Vectorised log aggregation.
+"""Log aggregation for the reports.
 
-Campaign logs reach thousands of records; the aggregations the reports
-and benches need (per-category counts, severity histograms, wall-time
-percentiles, return-code distributions) are computed here with NumPy on
-column arrays extracted once from the log — the "vectorise the hot
-loop" rule from the optimisation guides, applied to the analysis path.
+Campaign logs reach a few thousand records; the aggregations the
+reports and benches need (per-category counts, severity histograms,
+wall-time percentiles, return-code distributions) are single passes
+over the records with :class:`collections.Counter` — at this size a
+plain loop costs less than importing an array library to do it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
+import statistics
+from collections import Counter
 
 from repro.fault.campaign import CampaignResult
 from repro.fault.classify import Severity
 from repro.fault.testlog import CampaignLog
 
 
-@dataclass(frozen=True)
-class LogColumns:
-    """Columnar view of a campaign log."""
+def percentile(values: list[float], q: float) -> float:
+    """The ``q``-th percentile of ``values`` by linear interpolation.
 
-    categories: np.ndarray
-    functions: np.ndarray
-    returned: np.ndarray
-    first_rc: np.ndarray
-    wall_time_s: np.ndarray
-    crashed: np.ndarray
-    halted: np.ndarray
-    resets: np.ndarray
-    hung: np.ndarray
-    worker_killed: np.ndarray
-    watchdog: np.ndarray
-    attempts: np.ndarray
-    arbitrated: np.ndarray
-    quarantined: np.ndarray
-
-    @classmethod
-    def from_log(cls, log: CampaignLog) -> "LogColumns":
-        """Extract columns in one pass over the records."""
-        n = len(log)
-        categories = np.empty(n, dtype=object)
-        functions = np.empty(n, dtype=object)
-        returned = np.zeros(n, dtype=bool)
-        first_rc = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-        wall = np.zeros(n, dtype=np.float64)
-        crashed = np.zeros(n, dtype=bool)
-        halted = np.zeros(n, dtype=bool)
-        resets = np.zeros(n, dtype=np.int64)
-        hung = np.zeros(n, dtype=bool)
-        worker_killed = np.zeros(n, dtype=bool)
-        watchdog = np.zeros(n, dtype=bool)
-        attempts = np.ones(n, dtype=np.int64)
-        arbitrated = np.zeros(n, dtype=bool)
-        quarantined = np.zeros(n, dtype=bool)
-        for i, record in enumerate(log):
-            categories[i] = record.category
-            functions[i] = record.function
-            rc0 = record.first_rc
-            if rc0 is not None:
-                returned[i] = True
-                first_rc[i] = rc0
-            wall[i] = record.wall_time_s
-            crashed[i] = record.sim_crashed
-            halted[i] = record.kernel_halted
-            resets[i] = len(record.resets)
-            hung[i] = record.sim_hung
-            worker_killed[i] = record.worker_killed
-            watchdog[i] = record.watchdog_expired
-            attempts[i] = record.attempts
-            arbitrated[i] = record.arbitrated
-            quarantined[i] = record.quarantined
-        return cls(
-            categories, functions, returned, first_rc, wall, crashed, halted,
-            resets, hung, worker_killed, watchdog, attempts, arbitrated,
-            quarantined,
-        )
+    The same definition as NumPy's default (``method="linear"``): the
+    percentile sits at position ``(n - 1) * q / 100`` of the sorted
+    values, interpolated between its two neighbours.
+    """
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    ordered = sorted(values)
+    position = (len(ordered) - 1) * (q / 100)
+    lower = math.floor(position)
+    upper = min(lower + 1, len(ordered) - 1)
+    low, high = ordered[lower], ordered[upper]
+    fraction = position - lower
+    # Interpolate from the nearer end, as NumPy's lerp does, so the
+    # result is bit-identical to it.
+    if fraction >= 0.5:
+        return high - (high - low) * (1 - fraction)
+    return low + (high - low) * fraction
 
 
 def tests_per_category(log: CampaignLog) -> dict[str, int]:
     """Category -> executed tests."""
-    cols = LogColumns.from_log(log)
-    values, counts = np.unique(cols.categories.astype(str), return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    return dict(sorted(Counter(record.category for record in log).items()))
 
 
 def rc_distribution(log: CampaignLog) -> dict[int, int]:
     """Return code -> count over first invocations that returned."""
-    cols = LogColumns.from_log(log)
-    codes = cols.first_rc[cols.returned]
-    values, counts = np.unique(codes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    codes = Counter(
+        record.first_rc for record in log if record.first_rc is not None
+    )
+    return dict(sorted(codes.items()))
 
 
 def wall_time_stats(log: CampaignLog) -> dict[str, float]:
     """min/median/p95/max/total of per-test wall time, in seconds."""
-    cols = LogColumns.from_log(log)
-    wall = cols.wall_time_s
-    if wall.size == 0:
+    wall = [record.wall_time_s for record in log]
+    if not wall:
         return {"min": 0.0, "median": 0.0, "p95": 0.0, "max": 0.0, "total": 0.0}
     return {
-        "min": float(wall.min()),
-        "median": float(np.median(wall)),
-        "p95": float(np.percentile(wall, 95)),
-        "max": float(wall.max()),
-        "total": float(wall.sum()),
+        "min": float(min(wall)),
+        "median": float(statistics.median(wall)),
+        "p95": float(percentile(wall, 95)),
+        "max": float(max(wall)),
+        "total": float(math.fsum(wall)),
     }
 
 
@@ -120,28 +78,33 @@ def durability_summary(log: CampaignLog) -> dict[str, int]:
     spent beyond one per record, and ``quarantined`` the known killers
     skipped without execution.
     """
-    cols = LogColumns.from_log(log)
     return {
         "records": len(log),
-        "worker_killed": int(cols.worker_killed.sum()),
-        "watchdog_expired": int(cols.watchdog.sum()),
-        "sim_hung": int(cols.hung.sum()),
-        "sim_crashed": int(cols.crashed.sum()),
-        "arbitrated": int(cols.arbitrated.sum()),
-        "retried_runs": int((cols.attempts - 1).sum()),
-        "quarantined": int(cols.quarantined.sum()),
+        "worker_killed": sum(1 for r in log if r.worker_killed),
+        "watchdog_expired": sum(1 for r in log if r.watchdog_expired),
+        "sim_hung": sum(1 for r in log if r.sim_hung),
+        "sim_crashed": sum(1 for r in log if r.sim_crashed),
+        "arbitrated": sum(1 for r in log if r.arbitrated),
+        "retried_runs": sum(r.attempts - 1 for r in log),
+        "quarantined": sum(1 for r in log if r.quarantined),
     }
 
 
-def severity_matrix(result: CampaignResult) -> tuple[list[str], np.ndarray]:
-    """(category labels, category x severity count matrix)."""
-    categories = sorted({r.category for r, _e, _c in result.classified})
-    severities = list(Severity)
-    matrix = np.zeros((len(categories), len(severities)), dtype=np.int64)
-    cat_index = {c: i for i, c in enumerate(categories)}
-    sev_index = {s: i for i, s in enumerate(severities)}
-    for record, _expectation, classification in result.classified:
-        matrix[cat_index[record.category], sev_index[classification.severity]] += 1
+def severity_matrix(result: CampaignResult) -> tuple[list[str], list[list[int]]]:
+    """(category labels, category x severity count rows).
+
+    One row per category (sorted), one column per :class:`Severity` in
+    declaration order.
+    """
+    counts = Counter(
+        (record.category, classification.severity)
+        for record, _expectation, classification in result.classified
+    )
+    categories = sorted({category for category, _severity in counts})
+    matrix = [
+        [counts[(category, severity)] for severity in Severity]
+        for category in categories
+    ]
     return categories, matrix
 
 

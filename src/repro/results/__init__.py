@@ -9,26 +9,22 @@ cross-campaign diffing, per-spec drift audits and flaky-spec scoring
 subcommands front all of it.
 """
 
-from repro.results.queries import (
-    CampaignDiff,
-    DriftEntry,
-    VerdictChange,
-    diff_campaigns,
-    drift_audit,
-    flaky_specs,
-)
-from repro.results.schema import verdict_of
-from repro.results.warehouse import CampaignInfo, IngestReport, ResultsWarehouse
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignDiff",
-    "CampaignInfo",
-    "DriftEntry",
-    "IngestReport",
-    "ResultsWarehouse",
-    "VerdictChange",
-    "diff_campaigns",
-    "drift_audit",
-    "flaky_specs",
-    "verdict_of",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "CampaignDiff": "queries.CampaignDiff",
+    "CampaignInfo": "warehouse.CampaignInfo",
+    "DriftEntry": "queries.DriftEntry",
+    "IngestReport": "warehouse.IngestReport",
+    "ResultsWarehouse": "warehouse.ResultsWarehouse",
+    "VerdictChange": "queries.VerdictChange",
+    "diff_campaigns": "queries.diff_campaigns",
+    "drift_audit": "queries.drift_audit",
+    "flaky_specs": "queries.flaky_specs",
+    "verdict_of": "schema.verdict_of",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,35 +17,28 @@ This package models exactly that surface:
   "error mode" double-trap rule that kills the simulator.
 """
 
-from repro.sparc.memory import (
-    Access,
-    MemoryArea,
-    MemoryFault,
-    PhysicalMemory,
-    AddressSpace,
-)
-from repro.sparc.traps import Trap, TrapType
-from repro.sparc.iobus import IoBus, IoDevice, IoFault
-from repro.sparc.irqmp import IrqController
-from repro.sparc.timerhw import GpTimerUnit, HwTimer
-from repro.sparc.uart import Uart
-from repro.sparc.cpu import CpuState, ProcessorErrorMode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Access",
-    "MemoryArea",
-    "MemoryFault",
-    "PhysicalMemory",
-    "AddressSpace",
-    "Trap",
-    "TrapType",
-    "IoBus",
-    "IoDevice",
-    "IoFault",
-    "IrqController",
-    "GpTimerUnit",
-    "HwTimer",
-    "Uart",
-    "CpuState",
-    "ProcessorErrorMode",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "Access": "memory.Access",
+    "MemoryArea": "memory.MemoryArea",
+    "MemoryFault": "memory.MemoryFault",
+    "PhysicalMemory": "memory.PhysicalMemory",
+    "AddressSpace": "memory.AddressSpace",
+    "Trap": "traps.Trap",
+    "TrapType": "traps.TrapType",
+    "IoBus": "iobus.IoBus",
+    "IoDevice": "iobus.IoDevice",
+    "IoFault": "iobus.IoFault",
+    "IrqController": "irqmp.IrqController",
+    "GpTimerUnit": "timerhw.GpTimerUnit",
+    "HwTimer": "timerhw.HwTimer",
+    "Uart": "uart.Uart",
+    "CpuState": "cpu.CpuState",
+    "ProcessorErrorMode": "cpu.ProcessorErrorMode",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

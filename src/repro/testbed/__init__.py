@@ -8,17 +8,17 @@ and therefore hosts the fault placeholders during robustness campaigns
 (Fig. 6 of the paper).
 """
 
-from repro.testbed.eagleeye import (
-    EAGLEEYE_MAJOR_FRAME_US,
-    PARTITION_IDS,
-    eagleeye_config,
-)
-from repro.testbed.builder import build_eagleeye_image, build_system
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EAGLEEYE_MAJOR_FRAME_US",
-    "PARTITION_IDS",
-    "eagleeye_config",
-    "build_eagleeye_image",
-    "build_system",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "EAGLEEYE_MAJOR_FRAME_US": "eagleeye.EAGLEEYE_MAJOR_FRAME_US",
+    "PARTITION_IDS": "eagleeye.PARTITION_IDS",
+    "eagleeye_config": "eagleeye.eagleeye_config",
+    "build_eagleeye_image": "builder.build_eagleeye_image",
+    "build_system": "builder.build_system",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

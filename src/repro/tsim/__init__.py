@@ -12,18 +12,20 @@ simulator itself, not just the kernel.  Here that surfaces as
 :class:`SimulatorCrash`.
 """
 
-from repro.tsim.events import EventQueue, Event
-from repro.tsim.machine import TargetMachine
-from repro.tsim.image import SystemImage, PartitionImage
-from repro.tsim.simulator import Simulator, SimulatorCrash, SimulatorHang
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "Event",
-    "TargetMachine",
-    "SystemImage",
-    "PartitionImage",
-    "Simulator",
-    "SimulatorCrash",
-    "SimulatorHang",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "EventQueue": "events.EventQueue",
+    "Event": "events.Event",
+    "TargetMachine": "machine.TargetMachine",
+    "SystemImage": "image.SystemImage",
+    "PartitionImage": "image.PartitionImage",
+    "Simulator": "simulator.Simulator",
+    "SimulatorCrash": "simulator.SimulatorCrash",
+    "SimulatorHang": "simulator.SimulatorHang",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

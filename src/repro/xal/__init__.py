@@ -7,7 +7,15 @@ scheduler drives slot by slot, plus a ``libxm`` binding layer that wraps
 raw hypercalls with scratch-buffer management for out-parameters.
 """
 
-from repro.xal.app import PartitionApplication
-from repro.xal.runtime import Libxm, ScratchAllocator
+from repro._lazy import lazy_exports
 
-__all__ = ["PartitionApplication", "Libxm", "ScratchAllocator"]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "PartitionApplication": "app.PartitionApplication",
+    "Libxm": "runtime.Libxm",
+    "ScratchAllocator": "runtime.ScratchAllocator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

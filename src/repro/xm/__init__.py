@@ -15,47 +15,33 @@ verbatim and gated by kernel version in :mod:`repro.xm.vulns`
 kernel the XM development team produced after the campaign).
 """
 
-from repro.xm import rc
-from repro.xm.api import (
-    HYPERCALL_TABLE,
-    Category,
-    HypercallDef,
-    ParamDef,
-    hypercall_by_name,
-)
-from repro.xm.config import (
-    ChannelConfig,
-    MemoryAreaConfig,
-    PartitionConfig,
-    PlanConfig,
-    PortConfig,
-    SlotConfig,
-    XMConfig,
-)
-from repro.xm.kernel import Kernel, KernelPanic, NoReturnFromHypercall
-from repro.xm.partition import Partition, PartitionState
-from repro.xm.vulns import KNOWN_VULNERABILITIES, KernelFeatures, Vulnerability
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "rc",
-    "HYPERCALL_TABLE",
-    "Category",
-    "HypercallDef",
-    "ParamDef",
-    "hypercall_by_name",
-    "ChannelConfig",
-    "MemoryAreaConfig",
-    "PartitionConfig",
-    "PlanConfig",
-    "PortConfig",
-    "SlotConfig",
-    "XMConfig",
-    "Kernel",
-    "KernelPanic",
-    "NoReturnFromHypercall",
-    "Partition",
-    "PartitionState",
-    "KNOWN_VULNERABILITIES",
-    "KernelFeatures",
-    "Vulnerability",
-]
+#: Public name -> ``submodule.attribute`` (or ``submodule``), imported on
+#: first access.
+_EXPORTS = {
+    "rc": "rc",
+    "HYPERCALL_TABLE": "api.HYPERCALL_TABLE",
+    "Category": "api.Category",
+    "HypercallDef": "api.HypercallDef",
+    "ParamDef": "api.ParamDef",
+    "hypercall_by_name": "api.hypercall_by_name",
+    "ChannelConfig": "config.ChannelConfig",
+    "MemoryAreaConfig": "config.MemoryAreaConfig",
+    "PartitionConfig": "config.PartitionConfig",
+    "PlanConfig": "config.PlanConfig",
+    "PortConfig": "config.PortConfig",
+    "SlotConfig": "config.SlotConfig",
+    "XMConfig": "config.XMConfig",
+    "Kernel": "kernel.Kernel",
+    "KernelPanic": "errors.KernelPanic",
+    "NoReturnFromHypercall": "errors.NoReturnFromHypercall",
+    "Partition": "partition.Partition",
+    "PartitionState": "partition.PartitionState",
+    "KNOWN_VULNERABILITIES": "vulns.KNOWN_VULNERABILITIES",
+    "KernelFeatures": "vulns.KernelFeatures",
+    "Vulnerability": "vulns.Vulnerability",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -3,8 +3,10 @@
 import asyncio
 import multiprocessing
 import random
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -16,10 +18,12 @@ from repro.fabric import (
     encode_frame,
     read_frame,
 )
+from repro.fabric.config import PROTOCOL_VERSION
 from repro.fabric.frames import MAX_FRAME
+from repro.fabric.worker import WorkerAgent
 from repro.fault import wire
 from repro.fault.campaign import Campaign
-from repro.fault.executor import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV
+from repro.fault.executor import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV, TestExecutor
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.resilience import Quarantine, RetryPolicy
 from repro.fault.testlog import CampaignLog, Invocation, TestRecord
@@ -365,6 +369,137 @@ class TestFabricKillRecovery:
         killed = [r for r in result.log if r.worker_killed]
         assert [r.test_id for r in killed] == [victim.test_id]
         assert killed[0].attempts == 1
+
+
+class TestStealRevocation:
+    """Revocations are per lease: a stolen index leased back must run."""
+
+    def run_scripted(self, config, script):
+        """Serve one real agent from a scripted coordinator.
+
+        After the agent's first lease request the coordinator sends the
+        ``script`` frames (revokes, then one lease), collects the
+        records of that lease and ends the campaign.  Returns the test
+        ids the agent ran, in order.
+        """
+        ran = []
+
+        async def handle(reader, writer):
+            assert (await read_frame(reader))["type"] == "hello"
+            writer.write(
+                encode_frame(
+                    {
+                        "type": "welcome",
+                        "protocol": PROTOCOL_VERSION,
+                        "config": config.to_dict(),
+                    }
+                )
+            )
+            assert (await read_frame(reader))["type"] == "lease-request"
+            for frame in script:
+                writer.write(encode_frame(frame))
+            while (frame := await read_frame(reader))["type"] != "lease-done":
+                if frame["type"] == "records":
+                    ran.extend(
+                        wire.decode_record(r).test_id for r in frame["records"]
+                    )
+            while (await read_frame(reader))["type"] != "lease-request":
+                pass
+            writer.write(encode_frame({"type": "done"}))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            finished.set()
+
+        async def main():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            agent = WorkerAgent("127.0.0.1", port, reconnect=False)
+            thread = threading.Thread(target=agent.run, daemon=True)
+            thread.start()
+            try:
+                await asyncio.wait_for(finished.wait(), 60)
+            finally:
+                server.close()
+            return thread
+
+        finished = asyncio.Event()
+        thread = asyncio.run(main())
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return ran
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        campaign = Campaign(functions=("XM_reset_system",))
+        return FabricConfig.from_campaign(campaign), list(campaign.iter_specs())
+
+    def test_index_revoked_from_earlier_lease_runs_in_later_lease(self, setup):
+        config, specs = setup
+        ran = self.run_scripted(
+            config,
+            [
+                {"type": "revoke", "lease": 1, "indices": [2]},
+                {"type": "lease", "lease": 3, "indices": [2]},
+            ],
+        )
+        assert ran == [specs[2].test_id]
+
+    def test_revoke_of_the_running_lease_still_skips(self, setup):
+        config, specs = setup
+        ran = self.run_scripted(
+            config,
+            [
+                {"type": "revoke", "lease": 3, "indices": [2]},
+                {"type": "lease", "lease": 3, "indices": [1, 2, 3]},
+            ],
+        )
+        assert ran == [specs[1].test_id, specs[3].test_id]
+
+
+@needs_fork
+class TestForcedSteals:
+    def test_steal_chains_finish_with_serial_records(self, monkeypatch):
+        # One lease holds the whole campaign and every test is slowed
+        # to a uniform pace, so the idle worker steals, and the first
+        # worker, done early, steals back the tail of indices that
+        # were once revoked from it.  The agents inherit the patch
+        # through fork.
+        campaign = Campaign(
+            functions=("XM_set_timer", "XM_multicall"), batch_hypercalls=False
+        )
+        serial = campaign.run()
+        run_planned = TestExecutor.run_planned
+
+        def paced(self, entry):
+            time.sleep(0.01)
+            return run_planned(self, entry)
+
+        monkeypatch.setattr(TestExecutor, "run_planned", paced)
+
+        class Overdue(Exception):
+            pass
+
+        def overdue(signum, frame):  # noqa: ANN001 - signal handler
+            raise Overdue
+
+        result = None
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(120)
+        try:
+            result = coordinate(
+                campaign, workers=2, shard_size=serial.total_tests
+            )
+        except Overdue:
+            pass
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert result is not None, "fabric campaign livelocked on steals"
+        assert result.execution_stats["lease_steals"] >= 2
+        assert [strip_transient(r) for r in result.log] == [
+            strip_transient(r) for r in serial.log
+        ]
 
 
 @needs_fork

@@ -127,10 +127,34 @@ class TestStats:
         wall = stats.wall_time_stats(CampaignLog())
         assert wall["total"] == 0.0
 
+    def test_wall_time_stats_match_linear_percentile(self):
+        # Wall times 1..20 s: NumPy's default (linear) percentile gives
+        # median 10.5, p95 19.05 and p25 5.75 on this log.
+        log = CampaignLog(
+            [
+                TestRecord(
+                    f"XM_get_time#{i:04d}",
+                    "XM_get_time",
+                    "Time Management",
+                    wall_time_s=float(i),
+                )
+                for i in range(1, 21)
+            ]
+        )
+        assert stats.wall_time_stats(log) == {
+            "min": 1.0,
+            "median": 10.5,
+            "p95": 19.05,
+            "max": 20.0,
+            "total": 210.0,
+        }
+        assert stats.percentile([r.wall_time_s for r in log], 25) == 5.75
+
     def test_severity_matrix_shape(self, result):
         categories, matrix = stats.severity_matrix(result)
-        assert matrix.shape == (len(categories), 6)
-        assert matrix.sum() == result.total_tests
+        assert len(matrix) == len(categories)
+        assert all(len(row) == 6 for row in matrix)
+        assert sum(map(sum, matrix)) == result.total_tests
 
     def test_failure_rate_by_function(self, result):
         rates = stats.failure_rate_by_function(result)

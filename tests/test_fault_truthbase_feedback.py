@@ -102,6 +102,49 @@ class TestFeedback:
         total_appearances = sum(v.tests for v in scored)
         assert total_appearances == 5 * 1 + 32 * 3 + 25 * 2
 
+    def test_effectiveness_counts_on_a_hand_built_result(self):
+        from repro.fault.campaign import CampaignResult, _default_model
+        from repro.fault.classify import Classification, FailureKind, Severity
+        from repro.fault.testlog import CampaignLog, TestRecord
+
+        fail = Classification(Severity.CATASTROPHIC, FailureKind.SIM_CRASH)
+        ok = Classification(Severity.PASS, FailureKind.NONE)
+        rows = [
+            ("XM_reset_system", ("2",), fail),
+            ("XM_reset_system", ("0",), ok),
+            ("XM_set_timer", ("EXEC_CLOCK", "1", "1"), fail),
+            ("XM_set_timer", ("HW_CLOCK", "1", "0"), ok),
+            ("XM_not_in_the_model", ("2",), fail),  # ignored
+        ]
+        classified = [
+            (
+                TestRecord(f"{fn}#{i:04d}", fn, "", arg_labels=labels),
+                None,
+                verdict,
+            )
+            for i, (fn, labels, verdict) in enumerate(rows)
+        ]
+        result = CampaignResult(
+            log=CampaignLog([record for record, _e, _c in classified]),
+            classified=classified,
+            issues=[],
+            kernel_version="3.4.0",
+            model=_default_model(),
+            strategy_name="cartesian",
+        )
+        scored = [
+            (v.dictionary, v.label, v.failures, v.tests)
+            for v in value_effectiveness(result)
+        ]
+        assert scored == [
+            ("clock_id", "EXEC_CLOCK", 1, 1),
+            ("xm_u32_t", "2", 1, 1),
+            ("xmTime_t", "1", 2, 3),  # twice in one failing test
+            ("clock_id", "HW_CLOCK", 0, 1),
+            ("xmTime_t", "0", 0, 1),
+            ("xm_u32_t", "0", 0, 1),
+        ]
+
     def test_offending_values_subset(self, result):
         offending = offending_values(result)
         assert offending
