@@ -34,7 +34,7 @@ import argparse
 import sys
 
 from repro.fault import report
-from repro.fault.campaign import Campaign
+from repro.fault.campaign import Campaign, ResumeMismatch
 from repro.fault.combinator import STRATEGIES as _STRATEGIES
 from repro.fault.testlog import CampaignLog
 from repro.xm.vulns import FIXED_VERSION, VULNERABLE_VERSION
@@ -555,6 +555,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             quarantine_path=args.quarantine,
             log_fsync=args.log_fsync,
         )
+    except ResumeMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except failpoints.ChaosError as exc:
         print(f"# chaos: campaign interrupted by injected fault: {exc}", file=sys.stderr)
         if args.log:
@@ -746,6 +749,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     except FabricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResumeMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.log:
         result.log.save(args.log)
         print(f"# log written to {args.log}", file=sys.stderr)

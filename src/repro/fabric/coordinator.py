@@ -565,10 +565,7 @@ def coordinate(
     remaining = specs
     done: list[TestRecord] = []
     if resume_from is not None:
-        campaign._validate_resume(resume_from)
-        have = {record.test_id: record for record in resume_from}
-        done = [have[s.test_id] for s in specs if s.test_id in have]
-        remaining = [s for s in specs if s.test_id not in have]
+        done, remaining = campaign._split_resume(resume_from, specs)
     policy = retry_policy if retry_policy is not None else RetryPolicy()
     stats: dict = {
         "pool_respawns": 0,

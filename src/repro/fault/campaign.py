@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # the executor loads the simulator: run paths import it
     from repro.fault.executor import TestExecutor
 
 
+class ResumeMismatch(ValueError):
+    """A resumed log was recorded under another campaign configuration."""
+
+
 @dataclass
 class HypercallSuite:
     """All test cases for one hypercall."""
@@ -359,9 +363,10 @@ class Campaign:
         the union and is ordered — and therefore classified and
         clustered — exactly as an uninterrupted run would be.  Resumed
         records are validated against this campaign's configuration:
-        a log recorded on another kernel version or frame count raises
-        ``ValueError`` rather than being classified against the wrong
-        oracle.
+        a log recorded on another kernel version or frame count, or a
+        record whose arguments differ from this suite's spec at its id,
+        raises ``ValueError`` rather than being classified against the
+        wrong oracle or the wrong spec.
 
         ``log_path`` streams every record to a JSONL checkpoint file
         the moment it arrives (append mode, flushed per record), so a
@@ -385,10 +390,7 @@ class Campaign:
         remaining = specs
         done: list[TestRecord] = []
         if resume_from is not None:
-            self._validate_resume(resume_from)
-            have = {record.test_id: record for record in resume_from}
-            done = [have[s.test_id] for s in specs if s.test_id in have]
-            remaining = [s for s in specs if s.test_id not in have]
+            done, remaining = self._split_resume(resume_from, specs)
         if processes is not None and self.system_factory is not None:
             raise ValueError(
                 "process-parallel execution supports only the default testbed"
@@ -487,21 +489,49 @@ class Campaign:
         result.execution_stats = stats
         return result
 
-    def _validate_resume(self, resume_from: CampaignLog) -> None:
-        """Reject logs recorded under a different configuration."""
+    def _split_resume(
+        self, resume_from: CampaignLog, specs: list[TestCallSpec]
+    ) -> tuple[list[TestRecord], list[TestCallSpec]]:
+        """``(records reused from resume_from, specs still to run)``.
+
+        Rejects, with :class:`ResumeMismatch` (a ``ValueError``), a log
+        recorded under a different configuration: another kernel version
+        or frame count, or a record whose arguments differ from this
+        suite's spec at its id.
+        Test ids are positional (``function#index``), so a log written
+        by another strategy or dictionary set names different argument
+        tuples under the same ids.
+        """
         for record in resume_from:
             if record.kernel_version and record.kernel_version != self.kernel_version:
-                raise ValueError(
+                raise ResumeMismatch(
                     f"cannot resume: record {record.test_id} was executed on "
                     f"kernel {record.kernel_version}, this campaign targets "
                     f"{self.kernel_version}"
                 )
             if record.frames and record.frames != self.frames:
-                raise ValueError(
+                raise ResumeMismatch(
                     f"cannot resume: record {record.test_id} ran over "
                     f"{record.frames} major frames, this campaign runs "
                     f"{self.frames}"
                 )
+        have = {record.test_id: record for record in resume_from}
+        done: list[TestRecord] = []
+        remaining: list[TestCallSpec] = []
+        for spec in specs:
+            record = have.get(spec.test_id)
+            if record is None:
+                remaining.append(spec)
+                continue
+            labels = spec.arg_labels()
+            if tuple(record.arg_labels) != labels:
+                raise ResumeMismatch(
+                    f"cannot resume: record {spec.test_id} ran with arguments "
+                    f"{tuple(record.arg_labels)}, this campaign's spec for "
+                    f"that id has {labels}"
+                )
+            done.append(record)
+        return done, remaining
 
     def _run_serial(
         self,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.fault.classify import Classification, FailureKind, Severity, classify
 from repro.fault.mutant import TestCallSpec
 from repro.fault.oracle import Expectation, OracleContext, ReferenceOracle
-from repro.fault.testlog import Invocation, TestRecord
+from repro.fault.testlog import Invocation, TestRecord, shared_state
 from repro.xm import rc
 from repro.xm.vulns import VULNERABLE_VERSION
 
@@ -39,27 +39,33 @@ _STREAM_KEYS: dict[int, str] = {}
 
 
 def capture_state(kernel) -> dict:  # noqa: ANN001
-    """Snapshot the state the contracts of stateful services depend on."""
+    """Snapshot the state the contracts of stateful services depend on.
+
+    Equal snapshots return the same shared, read-only dict (see
+    :func:`~repro.fault.testlog.shared_state`): the lookup key is built
+    from the scalars read here, so a repeated state allocates nothing.
+    """
     tm_chan = kernel.ipc.channels.get("CH_TM_AOCS")
     hm = kernel.hm
     hm_len = len(hm.records)
-    trace_lens = {}
-    trace_cursors = {}
+    hm_cursor = hm.read_cursor
+    trace_lens = []
+    trace_cursors = []
     keys = _STREAM_KEYS
     for stream_id, stream in kernel.tracemgr.streams.items():
         key = keys.get(stream_id)
         if key is None:
             key = keys[stream_id] = str(stream_id)
-        trace_lens[key] = len(stream.events)
-        trace_cursors[key] = stream.cursor
-    return {
-        "hm_len": hm_len,
-        "hm_cursor": hm.read_cursor,
-        "hm_unread": hm_len - hm.read_cursor,
-        "trace_lens": trace_lens,
-        "trace_cursors": trace_cursors,
-        "tm_message": int(tm_chan is not None and tm_chan.message is not None),
-    }
+        trace_lens.append((key, len(stream.events)))
+        trace_cursors.append((key, stream.cursor))
+    return shared_state((
+        hm_len,
+        hm_cursor,
+        hm_len - hm_cursor,
+        tuple(trace_lens),
+        tuple(trace_cursors),
+        int(tm_chan is not None and tm_chan.message is not None),
+    ))
 
 
 class StatefulOracle(ReferenceOracle):

@@ -30,9 +30,13 @@ STATS_KEY = "__campaign_stats__"
 
 
 def atomic_write_text(
-    path: Path, text: str, failpoint: str | None = None
+    path: Path, text: str | Iterable[str], failpoint: str | None = None
 ) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename).
+
+    ``text`` is a string or an iterable of string chunks; chunks are
+    written as they are produced, so a large artefact (a campaign log)
+    is never held in memory as one joined string.
 
     ``mkstemp`` creates the temp file 0600; the file is re-permissioned
     to honor the process umask before the rename, so the published
@@ -48,7 +52,10 @@ def atomic_write_text(
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         if failpoint is not None:
             failpoints.fire(failpoint)
         os.replace(tmp_name, path)
@@ -60,12 +67,79 @@ def atomic_write_text(
         raise
 
 
+#: Field order of a state vector (see
+#: :func:`repro.fault.stateful_oracle.capture_state`).
+STATE_FIELDS = (
+    "hm_len", "hm_cursor", "hm_unread", "trace_lens", "trace_cursors", "tm_message"
+)
+
+#: Interned state vectors: one shared dict per distinct kernel state.
+#: A campaign captures a state at every invocation, yet the Table III
+#: logs hold ~20k invocations over a few hundred distinct states, so
+#: capture and decode both hand out the shared dict for an equal state.
+#: The key is ``(hm_len, hm_cursor, hm_unread, trace_lens items,
+#: trace_cursors items, tm_message)``.  The memo lives here, outside any
+#: simulator graph, so no delta journal, reset or warm-boot snapshot
+#: ever sees it; it is bounded by :data:`STATE_MEMO_MAX` (oldest entry
+#: evicted first — an evicted state stays valid in every record holding
+#: it, the next equal state just gets a new shared dict).
+_STATES: dict[tuple, dict] = {}
+STATE_MEMO_MAX = 4096
+_INT_ONLY = {int}
+
+
+def shared_state(key: tuple) -> dict:
+    """The one shared state dict for ``key`` (built on first sight).
+
+    Shared dicts are read-only by contract: records of many tests hold
+    the same object, so a mutation would rewrite all of their logs.
+    """
+    state = _STATES.get(key)
+    if state is None:
+        while len(_STATES) >= STATE_MEMO_MAX:
+            _STATES.pop(next(iter(_STATES)), None)
+        hm_len, hm_cursor, hm_unread, lens, cursors, tm_message = key
+        state = _STATES[key] = {
+            "hm_len": hm_len,
+            "hm_cursor": hm_cursor,
+            "hm_unread": hm_unread,
+            "trace_lens": dict(lens),
+            "trace_cursors": dict(cursors),
+            "tm_message": tm_message,
+        }
+    return state
+
+
+def intern_state(state: object) -> object:
+    """The shared copy of a decoded state vector, else ``state`` itself.
+
+    Only a dict with exactly :data:`STATE_FIELDS`, in that order, and
+    plain ``int`` values is interned, so the shared copy encodes to the
+    same bytes (``True == 1`` and ``1.0 == 1`` would otherwise alias).
+    """
+    if type(state) is not dict or tuple(state) != STATE_FIELDS:
+        return state
+    hm_len, hm_cursor, hm_unread, lens, cursors, tm_message = state.values()
+    if type(lens) is not dict or type(cursors) is not dict:
+        return state
+    if {
+        type(hm_len), type(hm_cursor), type(hm_unread), type(tm_message),
+        *map(type, lens.values()), *map(type, cursors.values()),
+    } != _INT_ONLY:
+        return state
+    return shared_state(
+        (hm_len, hm_cursor, hm_unread, tuple(lens.items()),
+         tuple(cursors.items()), tm_message)
+    )
+
+
 @dataclass(frozen=True)
 class Invocation:
     """Outcome of one invocation of the test call (once per major frame).
 
     ``state`` is the optional pre-call system snapshot used by the
-    state-aware oracle (see :mod:`repro.fault.stateful_oracle`).
+    state-aware oracle (see :mod:`repro.fault.stateful_oracle`); equal
+    snapshots share one read-only dict (see :func:`shared_state`).
     """
 
     returned: bool
@@ -162,31 +236,37 @@ class TestRecord:
         return wire.record_from_dict(data)
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    """Parse a JSONL file, tolerating a truncated final line.
+def _iter_jsonl(path: Path) -> Iterator[dict]:
+    """Parse a JSONL file line by line, tolerating a truncated final line.
 
     A crash mid-append can leave a half-written last record; readers
     drop it (with a warning) instead of refusing to load — resume must
     work in exactly the crash scenario the streaming log exists for,
     and the stream's dedup-by-id append rewrites the lost record.
     Corruption anywhere *before* the last line is still an error.
+    Each line is yielded as soon as it parses, so a caller that decodes
+    as it goes never holds every line's dict at once.
     """
+    torn: json.JSONDecodeError | None = None
     with path.open("r", encoding="utf-8") as fh:
-        lines = [line for line in (raw.strip() for raw in fh) if line]
-    out: list[dict] = []
-    for index, line in enumerate(lines):
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                warnings.warn(
-                    f"{path}: dropping truncated final record "
-                    "(interrupted mid-append?)",
-                    stacklevel=3,
-                )
-                break
-            raise
-    return out
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if torn is not None:
+                raise torn  # a torn line with more lines after it
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                torn = exc
+                continue
+            yield data
+    if torn is not None:
+        warnings.warn(
+            f"{path}: dropping truncated final record "
+            "(interrupted mid-append?)",
+            stacklevel=3,
+        )
 
 
 class CampaignLog:
@@ -231,29 +311,35 @@ class CampaignLog:
         truncate or corrupt an existing log.  ``execution_stats``, when
         present, is appended as a tagged trailer line after the records.
         """
-        lines = [json.dumps(record.to_dict()) for record in self.records]
+        atomic_write_text(Path(path), self._lines(), failpoint="testlog.replace")
+
+    def _lines(self) -> Iterator[str]:
+        """The JSONL lines of :meth:`save`, encoded one at a time."""
+        for record in self.records:
+            yield json.dumps(record.to_dict()) + "\n"
         if self.execution_stats is not None:
-            lines.append(json.dumps({STATS_KEY: self.execution_stats}))
-        text = "".join(line + "\n" for line in lines)
-        atomic_write_text(Path(path), text, failpoint="testlog.replace")
+            yield json.dumps({STATS_KEY: self.execution_stats}) + "\n"
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignLog":
-        """Read JSONL (a truncated final line is dropped, see _read_jsonl).
+        """Read JSONL (a truncated final line is dropped, see _iter_jsonl).
 
-        A stats trailer rehydrates ``execution_stats``; unknown record
-        fields from a newer writer warn once per distinct field set,
-        not once per record (see :func:`repro.fault.wire.dedup_unknown_fields`).
+        Each line is decoded into its record as it is read (through
+        :func:`repro.fault.wire.record_from_dict`, the one record
+        decoder).  A stats trailer rehydrates ``execution_stats``; the
+        last one wins.  Unknown record fields from a newer writer warn
+        once per distinct field set, not once per record (see
+        :func:`repro.fault.wire.dedup_unknown_fields`).
         """
         from repro.fault import wire
 
         log = cls()
         with wire.dedup_unknown_fields():
-            for data in _read_jsonl(Path(path)):
+            for data in _iter_jsonl(Path(path)):
                 if STATS_KEY in data:
                     log.execution_stats = data[STATS_KEY]
                     continue
-                log.append(TestRecord.from_dict(data))
+                log.append(wire.record_from_dict(data))
         return log
 
     @classmethod
@@ -302,31 +388,36 @@ class LogStream:
             # Scan byte-wise so a half-written tail (a crash mid-append)
             # can be truncated away — left in place, the next append
             # would concatenate onto it and corrupt a mid-file line.
-            raw = self.path.read_bytes()
-            raw_lines = raw.splitlines(keepends=True)
+            # Lines are read one at a time, so opening a stream on a
+            # large log never holds the whole file.
             offset = 0
-            for index, raw_line in enumerate(raw_lines):
-                stripped = raw_line.strip()
-                if stripped:
-                    try:
-                        data = json.loads(stripped)
-                    except json.JSONDecodeError:
-                        if index == len(raw_lines) - 1:
-                            warnings.warn(
-                                f"{self.path}: dropping truncated final "
-                                "record (interrupted mid-append?)",
-                                stacklevel=3,
-                            )
-                            break
-                        raise
-                    # Stats trailers (and any other non-record line)
-                    # carry no test id and never dedup an append.
-                    if data.get("test_id") is not None:
-                        self.existing.add(data["test_id"])
-                offset += len(raw_line)
-            if offset < len(raw):
+            torn: json.JSONDecodeError | None = None
+            last_line = b""
+            with self.path.open("rb") as fh:
+                for raw_line in fh:
+                    if torn is not None:
+                        raise torn  # a torn line with more lines after it
+                    last_line = raw_line
+                    stripped = raw_line.strip()
+                    if stripped:
+                        try:
+                            data = json.loads(stripped)
+                        except json.JSONDecodeError as exc:
+                            torn = exc
+                            continue
+                        # Stats trailers (and any other non-record line)
+                        # carry no test id and never dedup an append.
+                        if data.get("test_id") is not None:
+                            self.existing.add(data["test_id"])
+                    offset += len(raw_line)
+            if torn is not None:
+                warnings.warn(
+                    f"{self.path}: dropping truncated final "
+                    "record (interrupted mid-append?)",
+                    stacklevel=3,
+                )
                 os.truncate(self.path, offset)
-            elif raw and not raw.endswith(b"\n"):
+            elif last_line and not last_line.endswith(b"\n"):
                 repair_newline = True
         self._fh = self.path.open("a", encoding="utf-8")
         if repair_newline:

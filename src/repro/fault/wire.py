@@ -9,6 +9,7 @@ module, so the pool path and the JSONL log path cannot drift apart:
 - **Record codec** — :func:`record_to_dict` / :func:`record_from_dict`,
   the JSON-serialisable form of a
   :class:`~repro.fault.testlog.TestRecord`.  ``record_from_dict`` is
+  the one decoder (log load, pool relay, fabric ingest) and is
   forward-compatible: unknown keys (a log written by newer code) are
   dropped with a warning, missing keys take the dataclass defaults.
 - **Relay codec** — :func:`encode_record` / :func:`decode_record`, the
@@ -37,7 +38,7 @@ from repro.fault.combinator import GenerationStrategy
 from repro.fault.dictionaries import DictionarySet
 from repro.fault.matrix import build_matrix
 from repro.fault.mutant import ArgSpec, TestCallSpec, dataset_to_spec
-from repro.fault.testlog import Invocation, TestRecord
+from repro.fault.testlog import Invocation, TestRecord, intern_state
 
 # -- spec codec --------------------------------------------------------------
 
@@ -155,14 +156,17 @@ def dedup_unknown_fields() -> Iterator[None]:
 
 
 def record_from_dict(data: dict) -> TestRecord:
-    """Inverse of :func:`record_to_dict`.
+    """Inverse of :func:`record_to_dict` — the one record decoder.
 
+    Log load, pool relay and fabric ingest all decode through here.
     Keys this version does not know (a log written by newer code) are
     dropped with a warning rather than crashing the load, so old
     analysers keep working on forward-compatible logs; missing keys
     (the compact relay form) take the dataclass defaults.  Under an
     active :func:`dedup_unknown_fields` context the per-record warning
-    is replaced by one aggregate warning per distinct field set.
+    is replaced by one aggregate warning per distinct field set.  Each
+    invocation gets the shared copy of its state vector (see
+    :func:`~repro.fault.testlog.intern_state`).
     """
     known = _RECORD_FIELDS
     if not known.issuperset(data):
@@ -183,10 +187,13 @@ def record_from_dict(data: dict) -> TestRecord:
     data["arg_labels"] = tuple(data.get("arg_labels", ()))
     data["resolved_args"] = tuple(data.get("resolved_args", ()))
     inv_known = _INVOCATION_FIELDS
-    data["invocations"] = [
-        Invocation(**{k: v for k, v in inv.items() if k in inv_known})
-        for inv in data.get("invocations", [])
-    ]
+    invocations = []
+    for inv in data.get("invocations", []):
+        kwargs = {k: v for k, v in inv.items() if k in inv_known}
+        if "state" in kwargs:
+            kwargs["state"] = intern_state(kwargs["state"])
+        invocations.append(Invocation(**kwargs))
+    data["invocations"] = invocations
     data["resets"] = [tuple(r) for r in data.get("resets", [])]
     data["hm_events"] = [tuple(e) for e in data.get("hm_events", [])]
     return TestRecord(**data)

@@ -59,12 +59,18 @@ class TestAtomicSave:
         CampaignLog([make_record("a")]).save(path)
         before = path.read_text(encoding="utf-8")
 
+        # save streams line by line: fail on the second record, after
+        # the first line already reached the temp file.
+        to_dict = TestRecord.to_dict
+
         def boom(self):
-            raise RuntimeError("serialiser died mid-write")
+            if self.test_id == "c":
+                raise RuntimeError("serialiser died mid-write")
+            return to_dict(self)
 
         monkeypatch.setattr(TestRecord, "to_dict", boom)
         with pytest.raises(RuntimeError):
-            CampaignLog([make_record("b")]).save(path)
+            CampaignLog([make_record("b"), make_record("c")]).save(path)
         assert path.read_text(encoding="utf-8") == before
         assert [p.name for p in tmp_path.iterdir()] == ["log.jsonl"]
 
@@ -192,6 +198,65 @@ class TestResumeValidation:
         full = campaign.run()
         resumed = campaign.run(resume_from=CampaignLog(full.log.records[:2]))
         assert resumed.total_tests == full.total_tests
+
+    @staticmethod
+    def cartesian_log_and_pairwise_campaign():
+        """A cartesian XM_set_timer log and a pairwise campaign over it.
+
+        Test ids are positional, so the two suites share ids that name
+        different argument tuples (#0001 is (HW_CLOCK, LLONG_MIN, 1) in
+        the cartesian suite, (HW_CLOCK, 1, 1) in the pairwise one).
+        """
+        from repro.fault.combinator import PairwiseStrategy
+
+        log = Campaign(functions=("XM_set_timer",)).run().log
+        assert len(log) == 32
+        pairwise = Campaign(functions=("XM_set_timer",), strategy=PairwiseStrategy())
+        return log, pairwise
+
+    def test_serial_resume_rejects_other_suites_arguments(self):
+        log, pairwise = self.cartesian_log_and_pairwise_campaign()
+        with pytest.raises(ValueError, match=r"XM_set_timer#0001.*'LLONG_MIN'"):
+            pairwise.run(resume_from=log)
+
+    def test_fabric_resume_rejects_other_suites_arguments(self):
+        from repro.fabric import coordinate
+
+        log, pairwise = self.cartesian_log_and_pairwise_campaign()
+        with pytest.raises(ValueError, match=r"XM_set_timer#0001.*'LLONG_MIN'"):
+            coordinate(pairwise, workers=1, resume_from=log)
+
+    @pytest.mark.parametrize("command", [["run"], ["fabric", "run", "--workers", "1"]])
+    def test_cli_resume_of_other_suites_log_is_a_one_line_error(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+
+        log, _ = self.cartesian_log_and_pairwise_campaign()
+        path = tmp_path / "out.jsonl"
+        log.save(path)
+        before = path.read_bytes()
+        code = main(
+            [*command, "--functions", "XM_set_timer", "--strategy", "pairwise",
+             "--quiet", "--log", str(path), "--resume"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "cannot resume: record XM_set_timer#0001" in errors[0]
+        assert path.read_bytes() == before
+
+    def test_resume_from_own_suites_log_still_accepted(self):
+        from repro.fault.combinator import PairwiseStrategy
+
+        pairwise = Campaign(functions=("XM_set_timer",), strategy=PairwiseStrategy())
+        full = pairwise.run()
+        resumed = pairwise.run(resume_from=CampaignLog(full.log.records[:5]))
+        assert [strip_wall_time(r) for r in resumed.log] == [
+            strip_wall_time(r) for r in full.log
+        ]
 
 
 class TestWarmPathLeak:

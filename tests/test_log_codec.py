@@ -1,0 +1,325 @@
+"""The record codec: byte-identical encoding, one decoder, shared state vectors."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fault import testlog, wire
+from repro.fault.campaign import Campaign
+from repro.fault.stateful_oracle import capture_state
+from repro.fault.testlog import (
+    STATE_FIELDS,
+    STATS_KEY,
+    CampaignLog,
+    Invocation,
+    TestRecord,
+    intern_state,
+    shared_state,
+)
+from repro.xm.hm import HmEvent
+
+from conftest import BootedSystem
+
+#: Stateful services, so the scope's states vary from test to test.
+SCOPE = ("XM_hm_seek", "XM_reset_system")
+
+# -- strategies --------------------------------------------------------------
+
+text = st.text(max_size=12)
+ints = st.integers(min_value=-(2**40), max_value=2**40)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_scalar = st.one_of(st.none(), st.booleans(), ints, finite, text)
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(text, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+stream_items = st.lists(
+    st.tuples(st.sampled_from(["-1", "0", "1", "2"]), st.integers(0, 9)),
+    max_size=4,
+    unique_by=lambda item: item[0],
+).map(tuple)
+state_keys = st.tuples(
+    st.integers(0, 30), st.integers(0, 30), st.integers(-30, 30),
+    stream_items, stream_items, st.integers(0, 1),
+)
+
+
+def _state_shaped(values: tuple) -> dict:
+    return dict(zip(STATE_FIELDS, values))
+
+
+states = st.one_of(
+    st.none(),
+    # interned: the shared dict capture and decode hand out
+    st.builds(shared_state, state_keys),
+    # plain dicts a foreign writer might log
+    st.dictionaries(text, json_value, max_size=4),
+    # state-shaped, but with a bool or float where an int belongs
+    st.tuples(
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+        st.just({"0": 0}), st.just({"0": 0}),
+        st.sampled_from([True, False, 1.0, 0.0]),
+    ).map(_state_shaped),
+)
+invocations = st.builds(
+    Invocation,
+    # a foreign writer may log 0/1 or a float where bool/int belong
+    returned=st.one_of(st.booleans(), st.integers(0, 1)),
+    rc=st.one_of(st.none(), ints, finite),
+    note=text,
+    state=states,
+)
+records = st.builds(
+    TestRecord,
+    test_id=text,
+    function=text,
+    category=text,
+    arg_labels=st.lists(text, max_size=3).map(tuple),
+    resolved_args=st.lists(ints, max_size=3).map(tuple),
+    invocations=st.lists(invocations, max_size=3),
+    sim_crashed=st.booleans(),
+    sim_hung=st.booleans(),
+    kernel_halted=st.booleans(),
+    halt_reason=text,
+    resets=st.lists(st.tuples(text, text), max_size=2),
+    hm_events=st.lists(st.tuples(text, ints, text), max_size=2),
+    overruns=ints,
+    test_partition_state=text,
+    console_tail=st.lists(text, max_size=2),
+    kernel_version=text,
+    frames=ints,
+    wall_time_s=finite,
+    worker_killed=st.booleans(),
+    watchdog_expired=st.booleans(),
+    attempts=ints,
+    arbitrated=st.booleans(),
+    quarantined=st.booleans(),
+    host_context=st.one_of(st.none(), st.dictionaries(text, json_value, max_size=3)),
+)
+
+
+def saved(tmp_path, log: CampaignLog, name: str = "log.jsonl"):
+    path = tmp_path / name
+    log.save(path)
+    return path
+
+
+def rewrite_lines(path, edit) -> None:
+    """Apply ``edit`` to every record line's dict (the trailer is kept)."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        data = json.loads(line)
+        if STATS_KEY not in data:
+            edit(data)
+        lines.append(json.dumps(data) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def sample_log() -> CampaignLog:
+    log = Campaign(functions=SCOPE).run().log
+    assert log.execution_stats is not None
+    return log
+
+
+# -- encoder -----------------------------------------------------------------
+
+
+class TestEncoderIdentity:
+    @given(records)
+    @settings(max_examples=200, deadline=None)
+    def test_save_bytes_equal_json_dumps(self, tmp_path_factory, record):
+        path = saved(tmp_path_factory.mktemp("enc"), CampaignLog([record]))
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(wire.record_to_dict(record)) + "\n"
+        )
+
+    def test_unicode_and_float_fields(self, tmp_path):
+        record = TestRecord(
+            test_id="tést#0",
+            function="XM_☃",
+            category='quote " and \\ backslash',
+            invocations=[
+                Invocation(True, -3, "nöte\n", shared_state((1, 0, 1, (), (), 0))),
+                Invocation(False, None, "\U0001f600", None),
+            ],
+            wall_time_s=math.pi,
+            host_context={"load": 0.5, "x": [1, "ü"]},
+        )
+        path = saved(tmp_path, CampaignLog([record]))
+        assert path.read_text(encoding="utf-8") == json.dumps(record.to_dict()) + "\n"
+        assert CampaignLog.load(path).records == [record]
+
+    def test_saved_log_is_byte_identical_to_streamed_log(self, tmp_path):
+        streamed = tmp_path / "streamed.jsonl"
+        result = Campaign(functions=SCOPE).run(log_path=streamed)
+        saved_path = saved(tmp_path, result.log, "saved.jsonl")
+        assert saved_path.read_bytes() == streamed.read_bytes()
+
+    def test_save_is_line_for_line_json_dumps(self, tmp_path):
+        log = sample_log()
+        lines = saved(tmp_path, log).read_text(encoding="utf-8").splitlines()
+        expected = [json.dumps(record.to_dict()) for record in log]
+        expected.append(json.dumps({STATS_KEY: log.execution_stats}))
+        assert lines == expected
+
+
+# -- decoder -----------------------------------------------------------------
+
+
+class TestDecoderPaths:
+    @given(st.lists(records, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_records_round_trip(self, tmp_path_factory, generated):
+        path = saved(tmp_path_factory.mktemp("rt"), CampaignLog(generated))
+        assert CampaignLog.load(path).records == generated
+
+    def test_full_and_missing_field_lines_agree(self, tmp_path):
+        log = sample_log()
+        full = CampaignLog.load(saved(tmp_path, log))
+        assert full.records == log.records
+        assert full.execution_stats == log.execution_stats
+        # A field that sits at its default may be missing (the compact
+        # relay form); the records must not change.
+        path = saved(tmp_path, log, "missing.jsonl")
+        rewrite_lines(path, lambda data: data.pop("quarantined"))
+        missing = CampaignLog.load(path)
+        assert missing.records == log.records
+        assert missing.execution_stats == log.execution_stats
+
+    def test_unknown_fields_warn_once(self, tmp_path):
+        log = sample_log()
+        path = saved(tmp_path, log)
+        rewrite_lines(path, lambda data: data.update(future_field=1))
+        with pytest.warns(UserWarning, match="future_field") as caught:
+            loaded = CampaignLog.load(path)
+        unknown = [w for w in caught if "unrecognised" in str(w.message)]
+        assert len(unknown) == 1
+        assert f"from {len(log)} record(s)" in str(unknown[0].message)
+        assert loaded.records == log.records
+
+    def test_extra_invocation_keys_are_dropped(self, tmp_path):
+        log = sample_log()
+        path = saved(tmp_path, log)
+
+        def extend(data):
+            for inv in data["invocations"]:
+                inv["future"] = True
+
+        rewrite_lines(path, extend)
+        assert CampaignLog.load(path).records == log.records
+
+    def test_torn_final_line_is_dropped(self, tmp_path):
+        log = CampaignLog(sample_log().records)  # no trailer
+        path = saved(tmp_path, log)
+        whole = path.read_text(encoding="utf-8")
+        last = whole.splitlines()[-1]
+        path.write_text(whole + last[: len(last) // 2], encoding="utf-8")
+        with pytest.warns(UserWarning, match="truncated final record"):
+            loaded = CampaignLog.load(path)
+        assert loaded.records == log.records
+
+    def test_torn_line_before_the_last_is_an_error(self, tmp_path):
+        path = saved(tmp_path, CampaignLog(sample_log().records))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            CampaignLog.load(path)
+
+    def test_last_of_several_trailers_wins(self, tmp_path):
+        log = sample_log()
+        path = saved(tmp_path, log)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({STATS_KEY: {"retries": 7}}) + "\n")
+        loaded = CampaignLog.load(path)
+        assert loaded.execution_stats == {"retries": 7}
+        assert loaded.records == log.records
+
+    def test_relay_decode_interns_states(self):
+        record = sample_log().records[0]
+        assert record.invocations
+        decoded = wire.decode_record(
+            json.loads(json.dumps(wire.encode_record(record)))
+        )
+        assert decoded == record
+        for ours, theirs in zip(decoded.invocations, record.invocations):
+            assert ours.state is theirs.state
+
+
+# -- interning ---------------------------------------------------------------
+
+
+class TestStateInterning:
+    def test_equal_kernel_states_share_one_object(self):
+        first = BootedSystem()
+        second = BootedSystem()
+        assert capture_state(first.kernel) is capture_state(second.kernel)
+
+    def test_different_states_get_different_objects(self):
+        system = BootedSystem()
+        before = capture_state(system.kernel)
+        snapshot = json.dumps(before)
+        system.kernel.hm.raise_event(HmEvent.PARTITION_ERROR, 1, 0)
+        after = capture_state(system.kernel)
+        assert after is not before
+        assert after["hm_len"] == before["hm_len"] + 1
+        assert json.dumps(before) == snapshot  # the shared dict never changes
+
+    def test_loaded_states_are_shared(self, tmp_path):
+        log = sample_log()
+        loaded = CampaignLog.load(saved(tmp_path, log))
+        states = [inv.state for record in loaded for inv in record.invocations]
+        assert len({id(s) for s in states}) == len({json.dumps(s) for s in states})
+
+    def test_only_exact_int_states_are_interned(self):
+        shaped = dict(zip(STATE_FIELDS, (0, 0, 0, {}, {}, 0)))
+        assert intern_state(dict(shaped)) is shared_state((0, 0, 0, (), (), 0))
+        for odd in (True, 0.0):
+            foreign = {**shaped, "tm_message": odd}
+            assert intern_state(foreign) is foreign
+        reordered = {"hm_cursor": 0, **shaped}  # same fields, other order
+        assert intern_state(reordered) is reordered
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(testlog, "STATE_MEMO_MAX", 8)
+        early = shared_state((999, 0, 999, (), (), 0))
+        for index in range(20):
+            shared_state((1000 + index, 0, 1000 + index, (), (), 0))
+        assert len(testlog._STATES) <= 8
+        # An evicted state stays valid in the record holding it.
+        assert early == {
+            "hm_len": 999, "hm_cursor": 0, "hm_unread": 999,
+            "trace_lens": {}, "trace_cursors": {}, "tm_message": 0,
+        }
+
+    def test_tiny_memo_changes_no_record(self, monkeypatch):
+        reference = Campaign(functions=SCOPE).run().log
+        monkeypatch.setattr(testlog, "_STATES", {})
+        monkeypatch.setattr(testlog, "STATE_MEMO_MAX", 2)
+        churned = Campaign(functions=SCOPE).run().log
+        assert len(testlog._STATES) <= 2
+        assert [strip_wall(r) for r in churned] == [strip_wall(r) for r in reference]
+
+    def test_memo_bounded_across_campaigns(self):
+        for version in ("3.4.0", "3.4.1"):
+            Campaign(functions=SCOPE, kernel_version=version).run()
+            assert len(testlog._STATES) <= testlog.STATE_MEMO_MAX
+
+    def test_records_unchanged_under_verify_reset(self):
+        plain = Campaign(functions=SCOPE).run().log
+        # verify_reset re-runs every test from a full restore and raises
+        # on any field that differs from the delta-reset record.
+        verified = Campaign(functions=SCOPE, verify_reset=True).run().log
+        assert [strip_wall(r) for r in verified] == [strip_wall(r) for r in plain]
+
+
+def strip_wall(record: TestRecord) -> dict:
+    data = record.to_dict()
+    data.pop("wall_time_s")
+    return data
