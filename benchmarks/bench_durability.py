@@ -1,8 +1,9 @@
 """Durability overhead: streaming checkpoints and worker supervision.
 
 The streaming log flushes every record as it arrives and the supervised
-parallel runner relays every record back the moment it exists; both
-must stay in the noise next to test execution itself.  Measures a scoped campaign
+parallel runner (``processes=N``, loopback fabric workers) relays
+records back in batches as they finish; both must stay in the noise
+next to test execution itself.  Measures a scoped campaign
 with and without a streamed log, and a supervised parallel run that
 absorbs one injected worker kill, recording the costs into
 ``BENCH_campaign.json``.
@@ -77,8 +78,9 @@ def test_fsync_checkpoint_overhead(tmp_path):
 
 
 def test_supervised_kill_recovery_cost(tmp_path, monkeypatch):
-    """A pool that loses a worker mid-campaign still finishes; the
-    respawn + probe cost of absorbing one kill is the measured delta."""
+    """A parallel run that loses a worker mid-campaign still finishes;
+    the respawn + probe cost of absorbing one kill is the measured
+    delta."""
     campaign = Campaign(functions=("XM_reset_system", "XM_switch_sched_plan"))
     victim = [
         s for s in campaign.iter_specs() if s.function == "XM_switch_sched_plan"

@@ -1,11 +1,11 @@
 """Performance — test execution, serial vs process-parallel.
 
 Tests are independent, so the campaign is embarrassingly parallel (the
-paper parallelised with shell scripts over TSIM runs).  The pool workers
-are persistent: each builds its warm-boot snapshot once (in the pool
-initializer) and then only restores per test.  Benchmarks one test
-execution, a serial sub-campaign, and the same sub-campaign over a
-4-worker pool, asserting identical outcomes; parallel throughput is
+paper parallelised with shell scripts over TSIM runs).  ``processes=N``
+runs N loopback fabric workers; each is persistent, builds its
+warm-boot snapshot once and then only restores per test.  Benchmarks
+one test execution, a serial sub-campaign, and the same sub-campaign on
+4 workers, asserting identical outcomes; parallel throughput is
 recorded into ``BENCH_campaign.json`` alongside bench_warm_boot's
 serial numbers.
 """
@@ -60,7 +60,7 @@ def test_parallel_campaign_benchmark(benchmark):
 def test_parallel_throughput_recorded():
     """Timed parallel warm runs (best of 2) into BENCH_campaign.json.
 
-    Workers are capped at the host CPU count: a 4-worker pool on a
+    Workers are capped at the host CPU count: 4 workers on a
     1-CPU box measures oversubscription overhead, and a recorded
     throughput figure from such a host would be misread as a scaling
     result.  The worker count actually used is recorded beside the

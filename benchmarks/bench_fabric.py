@@ -1,10 +1,10 @@
 """Performance — distributed campaign fabric (socket coordinator).
 
-PR 9 measured the mp-pool parallel path at 0.48x serial with one worker
-(``parallel_scaling.speedup_over_serial_w1``): per-record relay pumping
-cost more than the tests.  The fabric ships records in batched frames,
-so its loopback single-worker path must land within 10% of serial
-throughput — that is this bench's gate.
+A parallel path that relays one record per message was once measured at
+0.48x serial with one worker: per-record relay pumping cost more than
+the tests.  The fabric ships records in batched frames, so its loopback
+single-worker path must land within 10% of serial throughput — that is
+this bench's gate.
 
 Throughput is measured over the **execute window**: the wall time from
 the first record's arrival to the last.  Worker bringup (fork, spec

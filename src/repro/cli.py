@@ -40,6 +40,83 @@ from repro.fault.testlog import CampaignLog
 from repro.xm.vulns import FIXED_VERSION, VULNERABLE_VERSION
 
 
+def _campaign_options(p: argparse.ArgumentParser) -> None:
+    """Options ``run`` and ``fabric run``/``serve`` share."""
+    p.add_argument(
+        "--version",
+        default=VULNERABLE_VERSION,
+        choices=[VULNERABLE_VERSION, FIXED_VERSION],
+        help="kernel version under test",
+    )
+    p.add_argument(
+        "--functions",
+        default=None,
+        help="comma-separated hypercall subset (default: all tested)",
+    )
+    p.add_argument("--frames", type=int, default=2, help="major frames per test")
+    p.add_argument(
+        "--strategy",
+        default="cartesian",
+        choices=sorted(_STRATEGIES),
+        help="dataset generation strategy",
+    )
+    p.add_argument(
+        "--log",
+        default=None,
+        help="campaign log (JSONL), streamed per record during execution",
+    )
+    p.add_argument(
+        "--resume",
+        action="store_true",
+        help="continue from the records already in --log (lossless restart)",
+    )
+    p.add_argument(
+        "--log-fsync",
+        dest="log_fsync",
+        action="store_true",
+        help="fsync the streaming log on every checkpoint "
+        "(durable against host power loss, not just process crashes)",
+    )
+    p.add_argument(
+        "--timeout-s",
+        dest="timeout_s",
+        type=float,
+        default=None,
+        help="per-test wall-clock watchdog in seconds (default: none)",
+    )
+    p.add_argument(
+        "--shard-size",
+        dest="shard_size",
+        type=int,
+        default=None,
+        help="specs per worker lease (default: auto-sized shards; "
+        "1 = one spec per lease)",
+    )
+    p.add_argument(
+        "--quarantine",
+        default=None,
+        metavar="FILE",
+        help="persistent quarantine list (JSON): confirmed killer specs "
+        "are added to it and skipped-with-record on later runs",
+    )
+    p.add_argument(
+        "--max-attempts",
+        dest="max_attempts",
+        type=int,
+        default=None,
+        help="runs a suspect worker_killed/watchdog_expired verdict may "
+        "consume (default 3; 1 = first observation is terminal)",
+    )
+    p.add_argument(
+        "--quorum",
+        type=int,
+        default=None,
+        help="agreeing lethal observations that decide a verdict "
+        "(default 2; must be <= --max-attempts)",
+    )
+    p.add_argument("--quiet", action="store_true", help="suppress progress")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -48,27 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a robustness campaign")
+    _campaign_options(run)
     run.add_argument(
-        "--version",
-        default=VULNERABLE_VERSION,
-        choices=[VULNERABLE_VERSION, FIXED_VERSION],
-        help="kernel version under test",
-    )
-    run.add_argument(
-        "--functions",
-        default=None,
-        help="comma-separated hypercall subset (default: all tested)",
-    )
-    run.add_argument("--processes", type=int, default=None, help="parallel workers")
-    run.add_argument(
-        "--shard-size",
-        dest="shard_size",
+        "--processes",
         type=int,
         default=None,
-        help="specs per parallel pool task (default: auto-sized batches; "
-        "1 = per-spec dispatch)",
+        help="run on N local fabric worker processes (default: serial)",
     )
-    run.add_argument("--frames", type=int, default=2, help="major frames per test")
     run.add_argument(
         "--warm-boot",
         dest="warm_boot",
@@ -157,36 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(bringup/run/record/reset) after the campaign",
     )
     run.add_argument(
-        "--strategy",
-        default="cartesian",
-        choices=sorted(_STRATEGIES),
-        help="dataset generation strategy",
-    )
-    run.add_argument(
-        "--log",
-        default=None,
-        help="campaign log (JSONL), streamed per record during execution",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from the records already in --log (lossless restart)",
-    )
-    run.add_argument(
-        "--timeout-s",
-        dest="timeout_s",
-        type=float,
-        default=None,
-        help="per-test wall-clock watchdog in seconds (default: none)",
-    )
-    run.add_argument(
-        "--log-fsync",
-        dest="log_fsync",
-        action="store_true",
-        help="fsync the streaming log on every checkpoint "
-        "(durable against host power loss, not just process crashes)",
-    )
-    run.add_argument(
         "--chaos",
         type=int,
         default=None,
@@ -203,30 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="per-hit fire probability for --chaos (default 0.05)",
     )
-    run.add_argument(
-        "--quarantine",
-        default=None,
-        metavar="FILE",
-        help="persistent quarantine list (JSON): confirmed killer specs "
-        "are added to it and skipped-with-record on later runs",
-    )
-    run.add_argument(
-        "--max-attempts",
-        dest="max_attempts",
-        type=int,
-        default=None,
-        help="runs a suspect worker_killed/watchdog_expired verdict may "
-        "consume (default 3; 1 = first observation is terminal)",
-    )
-    run.add_argument(
-        "--quorum",
-        type=int,
-        default=None,
-        help="agreeing lethal observations that decide a verdict "
-        "(default 2; must be <= --max-attempts)",
-    )
     run.add_argument("--dossier", default=None, help="write a Markdown dossier")
-    run.add_argument("--quiet", action="store_true", help="suppress progress")
 
     rep = sub.add_parser("report", help="re-analyse a saved campaign log")
     rep.add_argument("--log", required=True, help="JSONL log to analyse")
@@ -346,62 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fabric_sub = fabric.add_subparsers(dest="fabric_command", required=True)
 
     def _fabric_campaign_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--version",
-            default=VULNERABLE_VERSION,
-            choices=[VULNERABLE_VERSION, FIXED_VERSION],
-            help="kernel version under test",
-        )
-        p.add_argument(
-            "--functions",
-            default=None,
-            help="comma-separated hypercall subset (default: all tested)",
-        )
-        p.add_argument(
-            "--frames", type=int, default=2, help="major frames per test"
-        )
-        p.add_argument(
-            "--strategy",
-            default="cartesian",
-            choices=sorted(_STRATEGIES),
-            help="dataset generation strategy",
-        )
-        p.add_argument(
-            "--log",
-            default=None,
-            help="campaign log (JSONL), streamed per record during execution",
-        )
-        p.add_argument(
-            "--resume",
-            action="store_true",
-            help="continue from the records already in --log",
-        )
-        p.add_argument(
-            "--log-fsync", dest="log_fsync", action="store_true",
-            help="fsync the streaming log on every checkpoint",
-        )
-        p.add_argument(
-            "--timeout-s", dest="timeout_s", type=float, default=None,
-            help="per-test wall-clock watchdog in seconds (default: none)",
-        )
-        p.add_argument(
-            "--shard-size", dest="shard_size", type=int, default=None,
-            help="specs per lease (default: auto-sized shards)",
-        )
-        p.add_argument(
-            "--quarantine", default=None, metavar="FILE",
-            help="persistent quarantine list (JSON)",
-        )
-        p.add_argument(
-            "--max-attempts", dest="max_attempts", type=int, default=None,
-            help="runs a suspect worker_killed verdict may consume "
-            "(default 3; 1 = first observation is terminal)",
-        )
-        p.add_argument(
-            "--quorum", type=int, default=None,
-            help="agreeing lethal observations that decide a verdict "
-            "(default 2; must be <= --max-attempts)",
-        )
+        _campaign_options(p)
         p.add_argument(
             "--batch-records", dest="batch_records", type=int, default=None,
             help="records per data-plane frame (default 32)",
@@ -416,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="seconds a lease may stall before its worker is "
             "declared lost (default 60)",
         )
-        p.add_argument("--quiet", action="store_true", help="suppress progress")
 
     fabric_run = fabric_sub.add_parser(
         "run", help="coordinator + N local loopback worker agents, one shot"
@@ -458,15 +412,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    functions = tuple(args.functions.split(",")) if args.functions else None
-    campaign_kwargs = {}
-    if args.journal_budget is not None:
-        campaign_kwargs["journal_budget"] = args.journal_budget
-    campaign = Campaign(
-        functions=functions,
+def _campaign(args: argparse.Namespace, **knobs: object) -> Campaign:
+    """The campaign the shared run/fabric options describe."""
+    return Campaign(
+        functions=tuple(args.functions.split(",")) if args.functions else None,
         kernel_version=args.version,
         frames=args.frames,
+        strategy=_STRATEGIES[args.strategy](),
+        **knobs,  # type: ignore[arg-type]
+    )
+
+
+def _run_options(args: argparse.Namespace) -> dict:
+    """Keywords ``Campaign.run`` and ``coordinate`` take alike."""
+    return {
+        "progress": _progress_printer(args),
+        "resume_from": _resume_or_rotate_log(args),
+        "log_path": args.log,
+        "timeout_s": args.timeout_s,
+        "shard_size": args.shard_size,
+        "retry_policy": _retry_policy(args),
+        "quarantine_path": args.quarantine,
+        "log_fsync": args.log_fsync,
+    }
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    knobs = {}
+    if args.journal_budget is not None:
+        knobs["journal_budget"] = args.journal_budget
+    campaign = _campaign(
+        args,
         warm_boot=args.warm_boot,
         delta_reset=args.delta_reset,
         verify_reset=args.verify_reset,
@@ -474,56 +450,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         batch_hypercalls=args.batch_hypercalls,
         verify_plan=args.verify_plan,
         profile=args.profile,
-        strategy=_STRATEGIES[args.strategy](),
-        **campaign_kwargs,
+        **knobs,
     )
     total = campaign.total_tests()
     print(f"# campaign: {total} tests on XtratuM {args.version}", file=sys.stderr)
-
-    resume_log = None
-    if args.resume:
-        if not args.log:
-            print("error: --resume requires --log", file=sys.stderr)
-            return 2
-        from pathlib import Path
-
-        if Path(args.log).exists():
-            resume_log = CampaignLog.load(args.log)
-            print(
-                f"# resuming: {len(resume_log)} records already in {args.log}",
-                file=sys.stderr,
-            )
-    elif args.log:
-        from pathlib import Path
-
-        # A fresh run must not stream into a previous run's file: the
-        # stream dedups by test id, so stale records would silently
-        # shadow this run's results.  Move the old log aside.
-        log_path = Path(args.log)
-        if log_path.exists():
-            import os
-
-            stale = log_path.with_name(log_path.name + ".prev")
-            os.replace(log_path, stale)
-            print(
-                f"# existing {args.log} moved to {stale} "
-                "(use --resume to continue it instead)",
-                file=sys.stderr,
-            )
-
-    def progress(done: int, out_of: int, record) -> None:  # noqa: ANN001
-        if not args.quiet and done % 200 == 0:
-            print(f"#   {done}/{out_of} ...", file=sys.stderr)
-
-    retry_policy = None
-    if args.max_attempts is not None or args.quorum is not None:
-        from repro.fault.resilience import RetryPolicy
-
-        max_attempts = args.max_attempts if args.max_attempts is not None else 3
-        quorum = (
-            args.quorum if args.quorum is not None else min(2, max_attempts)
-        )
-        retry_policy = RetryPolicy(max_attempts=max_attempts, quorum=quorum)
+    options = _run_options(args)
 
     import os
 
@@ -531,7 +462,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     chaos_env_before = os.environ.get(failpoints.ENV_VAR)
     if args.chaos is not None:
-        # Armed through the environment so forked pool workers inherit
+        # Armed through the environment so forked fabric workers inherit
         # the same seeded fault schedule as the parent.
         rate = (
             args.chaos_rate
@@ -544,17 +475,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     try:
-        result = campaign.run(
-            processes=args.processes,
-            progress=progress,
-            resume_from=resume_log,
-            log_path=args.log,
-            timeout_s=args.timeout_s,
-            shard_size=args.shard_size,
-            retry_policy=retry_policy,
-            quarantine_path=args.quarantine,
-            log_fsync=args.log_fsync,
-        )
+        result = campaign.run(processes=args.processes, **options)
     except ResumeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -597,16 +518,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if name in phase_times
         )
         print(f"# phase times (per test): {breakdown}", file=sys.stderr)
-    if args.log:
-        # The stream already checkpointed every record; the final save
-        # rewrites the file atomically in canonical spec order.
-        result.log.save(args.log)
-        print(f"# log written to {args.log}", file=sys.stderr)
     if args.dossier:
         from repro.fault.dossier import write_dossier
 
         write_dossier(result, args.dossier, campaign)
         print(f"# dossier written to {args.dossier}", file=sys.stderr)
+    return _finish(result, args)
+
+
+def _progress_printer(args: argparse.Namespace):  # noqa: ANN202
+    """The run/fabric progress hook: one stderr line per 200 tests."""
+
+    def progress(done: int, out_of: int, record) -> None:  # noqa: ANN001
+        if not args.quiet and done % 200 == 0:
+            print(f"#   {done}/{out_of} ...", file=sys.stderr)
+
+    return progress
+
+
+def _finish(result, args: argparse.Namespace) -> int:  # noqa: ANN001
+    """Save the log in canonical order and print the campaign report."""
+    if args.log:
+        # The stream already checkpointed every record; the final save
+        # rewrites the file atomically in canonical spec order.
+        result.log.save(args.log)
+        print(f"# log written to {args.log}", file=sys.stderr)
     print(report.campaign_summary(result))
     print()
     print(report.table3(result))
@@ -634,7 +570,8 @@ def _resume_or_rotate_log(args: argparse.Namespace) -> CampaignLog | None:
 
     if args.resume:
         if not args.log:
-            raise SystemExit("error: --resume requires --log")
+            print("error: --resume requires --log", file=sys.stderr)
+            raise SystemExit(2)
         if Path(args.log).exists():
             resume_log = CampaignLog.load(args.log)
             print(
@@ -692,15 +629,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
     from repro.fabric import FabricError, coordinate
 
-    functions = tuple(args.functions.split(",")) if args.functions else None
-    campaign = Campaign(
-        functions=functions,
-        kernel_version=args.version,
-        frames=args.frames,
-        strategy=_STRATEGIES[args.strategy](),
-    )
+    campaign = _campaign(args)
     total = campaign.total_tests()
-    resume_log = _resume_or_rotate_log(args)
+    options = _run_options(args)
 
     if args.fabric_command == "serve":
         bind = _parse_endpoint(args.bind)
@@ -713,10 +644,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         f"({workers or 'external'} worker(s))",
         file=sys.stderr,
     )
-
-    def progress(done: int, out_of: int, record) -> None:  # noqa: ANN001
-        if not args.quiet and done % 200 == 0:
-            print(f"#   {done}/{out_of} ...", file=sys.stderr)
 
     def on_listen(host: str, port: int) -> None:
         # Parseable by scripts that start workers against a serve-mode
@@ -735,15 +662,8 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             campaign,
             bind=bind,
             workers=workers,
-            progress=progress,
-            resume_from=resume_log,
-            log_path=args.log,
-            timeout_s=args.timeout_s,
-            shard_size=args.shard_size,
-            retry_policy=_retry_policy(args),
-            quarantine_path=args.quarantine,
-            log_fsync=args.log_fsync,
             on_listen=on_listen,
+            **options,
             **optional,
         )
     except FabricError as exc:
@@ -752,15 +672,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     except ResumeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.log:
-        result.log.save(args.log)
-        print(f"# log written to {args.log}", file=sys.stderr)
-    print(report.campaign_summary(result))
-    print()
-    print(report.table3(result))
-    print()
-    print(report.issues_report(result))
-    return 0
+    return _finish(result, args)
 
 
 def _cmd_quarantine(args: argparse.Namespace) -> int:

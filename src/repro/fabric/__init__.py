@@ -1,7 +1,7 @@
 """Distributed campaign fabric: coordinator, worker agents, wire frames.
 
-The process-pool runner in :mod:`repro.fault.campaign` promoted to a
-network protocol: a socket coordinator (:mod:`repro.fabric.coordinator`)
+The campaign's parallel executor, for local processes and remote hosts
+alike: a socket coordinator (:mod:`repro.fabric.coordinator`)
 leases shards of spec-table indices to worker agents
 (:mod:`repro.fabric.worker`) over length-prefixed JSON frames
 (:mod:`repro.fabric.frames`), with heartbeats, lease expiry, work

@@ -1,35 +1,34 @@
 """The fabric coordinator: lease shards to worker agents over TCP.
 
-The pool runner's supervision contract, promoted from "dead process"
-to "dead host".  The coordinator owns the campaign: it partitions the
-spec table into integer-index shards, *leases* them to connected worker
-agents, checkpoints records as batches stream back, and treats every
-way a worker can vanish — clean EOF, reset connection, malformed frame,
-missed heartbeats, a lease that stops progressing — as the same event:
-the lease's unfinished indices go back on the queue and the campaign
-continues.  No worker failure mode kills the coordinator.
+The campaign's one parallel executor, for local processes and remote
+hosts alike.  The coordinator partitions the spec table into
+integer-index shards, *leases* them to connected worker agents, hands
+records to the :class:`~repro.fault.session.CampaignSession` as batches
+stream back, and treats every way a worker can vanish — process death,
+clean EOF, reset connection, malformed frame, missed heartbeats, a
+lease that stops progressing — as the same event: the lease's
+unfinished indices go back on the queue and the campaign continues.
+No worker failure mode kills the coordinator.
 
-Killer attribution generalises the pool's probe protocol.  A normal
-lease streams records in batches, so the specs a dead worker still owed
-are ambiguous (its unflushed batch tail hides finished innocents); the
-re-lease therefore runs with per-record flushing (``flush: 1``), after
-which the first owed index *is* the spec that was running when the
-worker died.  Each probe-lease death adds one ``worker_killed``
-observation for that spec; the PR 4 quorum
-(:class:`~repro.fault.resilience.VerdictArbiter`) decides when the
-verdict is terminal, and confirmed killers land in the persistent
-:class:`~repro.fault.resilience.Quarantine` exactly as pool kills do.
+Killer attribution is a probe protocol.  A normal lease streams records
+in batches, so the specs a dead worker still owed are ambiguous (its
+unflushed batch tail hides finished innocents); the re-lease therefore
+runs with per-record flushing (``flush: 1``), after which the first
+owed index *is* the spec that was running when the worker died.  Each
+probe-lease death adds one ``worker_killed`` observation for that spec;
+the quorum (:class:`~repro.fault.resilience.VerdictArbiter`) decides
+when the verdict is terminal, and confirmed killers land in the
+persistent :class:`~repro.fault.resilience.Quarantine`.
 
 Work stealing handles stragglers: an idle worker with an empty queue is
 granted the tail half of the largest outstanding lease (the victim gets
 a ``revoke`` frame for the stolen indices; a steal that races a test
 already running is harmless — records dedup by test id).
 
-:func:`coordinate` is the synchronous orchestrator that mirrors
-:meth:`repro.fault.campaign.Campaign.run` — resume, quarantine skips,
-the streaming JSONL checkpoint, the stats trailer, global-order merge,
-analysis — so an interrupted-and-resumed fabric campaign is
-record-for-record identical to an uninterrupted serial run.
+:func:`coordinate` runs one campaign session on this executor —
+``Campaign.run(processes=N)`` is ``coordinate(workers=N)`` — so an
+interrupted-and-resumed fabric campaign is record-for-record identical
+to an uninterrupted serial run.
 """
 
 from __future__ import annotations
@@ -39,36 +38,42 @@ import warnings
 from collections import deque
 from pathlib import Path
 
-from repro.fabric.config import PROTOCOL_VERSION, FabricConfig, FabricError
+from repro.fabric.config import PROTOCOL_VERSION, FabricConfig
 from repro.fabric.frames import FrameError, encode_frame, read_frame
 from repro.fabric.worker import DEFAULT_FLUSH_RECORDS, run_worker
 from repro.fault import wire
-from repro.fault.campaign import (
-    Campaign,
-    CampaignResult,
-    ProgressHook,
-    RecordSink,
-    _auto_shard_size,
-    _merge_execution_stats,
-    _merge_phase_times,
-    _merge_reset_modes,
-)
+from repro.fault.campaign import Campaign, CampaignResult
 from repro.fault.executor import worker_killed_record
 from repro.fault.failpoints import ChaosError
-from repro.fault.resilience import (
-    Quarantine,
-    RespawnBreaker,
-    RetryPolicy,
-    VerdictArbiter,
-    quarantined_record,
+from repro.fault.resilience import RespawnBreaker, RetryPolicy
+from repro.fault.session import (
+    CampaignSession,
+    ProgressHook,
+    merge_phase_times,
+    merge_reset_modes,
 )
-from repro.fault.testlog import CampaignLog, TestRecord
+from repro.fault.testlog import CampaignLog
 
 DEFAULT_HEARTBEAT_S = 2.0
 DEFAULT_LEASE_TIMEOUT_S = 60.0
 #: Smallest lease remainder worth stealing from (below this the victim
 #: finishes faster than a steal round-trip).
 MIN_STEAL = 4
+
+
+def _lease_size(total: int, workers: int) -> int:
+    """Default lease size for ``total`` specs across ``workers`` agents.
+
+    Big enough to amortise per-lease round trips (at least 16 specs,
+    ~8 leases per worker on large campaigns so stragglers balance), but
+    never so big that a worker sits idle while another holds more than
+    its share of a small campaign.
+    """
+    if total <= 0:
+        return 1
+    amortised = max(16, total // (workers * 8))
+    per_worker = -(-total // workers)  # ceil
+    return max(1, min(amortised, per_worker))
 
 
 class _Lease:
@@ -91,76 +96,76 @@ class _Lease:
 class _Worker:
     """One connected worker agent."""
 
-    __slots__ = ("name", "host", "writer", "lease", "idle", "last_seen")
+    __slots__ = ("name", "host", "writer", "lease", "idle", "last_seen", "context")
 
-    def __init__(self, name: str, host: str, writer, now: float) -> None:  # noqa: ANN001
+    def __init__(
+        self, name: str, host: str, writer, now: float, context: dict  # noqa: ANN001
+    ) -> None:
         self.name = name
         self.host = host
         self.writer = writer
         self.lease: int | None = None
         self.idle = False
         self.last_seen = now
+        #: Provenance stamped on every record this worker relays (one
+        #: shared dict; stripped, like all host context, in identity
+        #: comparisons).
+        self.context = context
 
 
 class FabricCoordinator:
     """Asyncio TCP server that leases spec shards and collects records.
 
-    ``deliver(record, worker)`` is called for every (deduplicated)
-    relayed record — it arbitrates, checkpoints and reports, returning
-    False to withhold the record and have its spec re-leased.
-    ``emit(record)`` publishes terminal records the coordinator itself
-    synthesises (``worker_killed`` verdicts).  Both run on the event
-    loop; a BaseException from either (a progress hook's
+    Every (deduplicated) relayed record goes to
+    :meth:`CampaignSession.deliver` — arbitration, checkpoint, progress;
+    a False return withholds it and re-leases its spec.  Terminal
+    records the coordinator synthesises itself (``worker_killed``
+    verdicts) go to :meth:`CampaignSession.emit`.  Both run on the
+    event loop; a BaseException from either (a progress hook's
     KeyboardInterrupt, injected ChaosError) is captured into
     ``self.failure`` and ends the campaign.
     """
 
     def __init__(
         self,
-        campaign: Campaign,
-        specs: list,  # remaining TestCallSpecs, global order
-        deliver,  # noqa: ANN001 - (TestRecord, _Worker) -> bool | None
-        emit,  # noqa: ANN001 - (TestRecord) -> None
+        session: CampaignSession,
         config: FabricConfig,
-        policy: RetryPolicy,
-        stats: dict,
-        quarantine: Quarantine | None = None,
+        workers: int = 0,
         shard_size: int | None = None,
         batch_records: int = DEFAULT_FLUSH_RECORDS,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
-        expected_workers: int = 4,
     ) -> None:
-        self.campaign = campaign
-        self.deliver = deliver
-        self.emit = emit
+        self.session = session
+        self.campaign = session.campaign
         self.config = config
-        self.policy = policy
-        self.stats = stats
-        self.quarantine = quarantine
         self.batch_records = max(1, batch_records)
         self.heartbeat_s = heartbeat_s
         self.lease_timeout_s = lease_timeout_s
-        self.arbiter = VerdictArbiter(policy)
+        #: Local worker processes the caller spawns (0 = serve only).
+        self.local_workers = workers
         #: Full campaign spec table: wire indices address this, exactly
         #: as every worker's regenerated table does.
-        self.spec_at = list(campaign.iter_specs())
+        self.spec_at = session.specs
         self.index_of = {
             spec.test_id: index for index, spec in enumerate(self.spec_at)
         }
-        work = [self.index_of[spec.test_id] for spec in specs]
+        work = [self.index_of[spec.test_id] for spec in session.remaining]
         self.unresolved: set[int] = set(work)
-        size = shard_size or _auto_shard_size(len(work), max(1, expected_workers))
+        self.lease_size = shard_size or _lease_size(len(work), workers or 4)
         #: Ungranted work: (indices, probe) shards.  Probe shards (the
         #: re-leased remainder of a dead worker's lease) go to the
         #: front and run with per-record flushing.
         self.pending: deque[tuple[list[int], bool]] = deque(
-            (work[start : start + size], False)
-            for start in range(0, len(work), size)
+            (work[start : start + self.lease_size], False)
+            for start in range(0, len(work), self.lease_size)
         )
         self.workers: dict[str, _Worker] = {}
         self.leases: dict[int, _Lease] = {}
         self._lease_seq = 0
+        #: Names of workers lost while holding a probe lease, until the
+        #: local supervisor has accounted for their respawn.
+        self.lost_on_probe: set[str] = set()
         self.done = asyncio.Event()
         self.failure: BaseException | None = None
         self.degraded = False
@@ -212,7 +217,7 @@ class FabricCoordinator:
 
     def progress_marker(self) -> tuple:
         """Changes whenever the campaign advanced (breaker evidence)."""
-        return (len(self.unresolved), self.arbiter.total_observations)
+        return (len(self.unresolved), self.session.arbiter.total_observations)
 
     # -- per-connection handler ---------------------------------------------
 
@@ -239,9 +244,14 @@ class FabricCoordinator:
             name = str(hello.get("name") or "worker")
             while name in self.workers:
                 name += "+"  # a respawn raced its predecessor's cleanup
-            worker = _Worker(
-                name, str(hello.get("host") or "?"), writer, loop.time()
-            )
+            host = str(hello.get("host") or "?")
+            context = {
+                "processes": self.local_workers,
+                "shard_size": self.lease_size,
+                "fabric_worker": name,
+                "worker_host": host,
+            }
+            worker = _Worker(name, host, writer, loop.time(), context)
             self.workers[name] = worker
             writer.write(
                 encode_frame(
@@ -347,7 +357,8 @@ class FabricCoordinator:
         keep = (len(victim.remaining) + 1) // 2
         stolen = victim.remaining[keep:]
         victim.remaining = victim.remaining[:keep]
-        self.stats["lease_steals"] = self.stats.get("lease_steals", 0) + 1
+        stats = self.session.stats
+        stats["lease_steals"] = stats.get("lease_steals", 0) + 1
         owner = self.workers.get(victim.worker)
         if owner is not None:
             # Best-effort: if the revoke is lost with the connection,
@@ -397,7 +408,7 @@ class FabricCoordinator:
                 lease.last_progress = loop.time()
             if index not in self.unresolved:
                 continue  # duplicate (steal race or reconnect replay)
-            if self.deliver(record, worker) is False:
+            if not self.session.deliver(record, worker.context):
                 # Withheld for arbitration: re-lease the spec alone,
                 # per-record flushed, so the retry verdict is exact.
                 self.pending.appendleft(([index], True))
@@ -415,9 +426,9 @@ class FabricCoordinator:
         if worker.lease == frame.get("lease"):
             worker.lease = None
         if frame.get("stats"):
-            _merge_reset_modes(self.stats, frame["stats"])
+            merge_reset_modes(self.session.stats, frame["stats"])
         if frame.get("phases"):
-            _merge_phase_times(self.stats, frame["phases"])
+            merge_phase_times(self.session.stats, frame["phases"])
         if lease is not None:
             leftover = [i for i in lease.remaining if i in self.unresolved]
             if leftover:
@@ -448,17 +459,20 @@ class FabricCoordinator:
         )
         if lease is None:
             return
+        session = self.session
         remaining = [i for i in lease.remaining if i in self.unresolved]
+        if lease.probe:
+            self.lost_on_probe.add(name)
         if lease.probe and remaining:
             suspect = self.spec_at[remaining[0]]
-            terminal = self.policy.single_shot or self.arbiter.observe(
+            terminal = session.policy.single_shot or session.arbiter.observe(
                 suspect.test_id, "worker_killed"
             )
-            observations = self.arbiter.observations(suspect.test_id) or [
+            observations = session.arbiter.observations(suspect.test_id) or [
                 "worker_killed"
             ]
             if terminal:
-                self.emit(
+                session.emit(
                     worker_killed_record(
                         suspect,
                         self.campaign.kernel_version,
@@ -466,22 +480,21 @@ class FabricCoordinator:
                         attempts=len(observations),
                         arbitrated=len(observations) > 1,
                         host_context={
-                            "fabric_worker": worker.name,
-                            "worker_host": worker.host,
+                            **worker.context,
                             "attempt": len(observations),
                         },
                     )
                 )
-                if self.quarantine is not None:
-                    self.quarantine.add(
+                if session.quarantine is not None:
+                    session.quarantine.add(
                         suspect.test_id, suspect.function, observations
                     )
                 self.unresolved.discard(remaining[0])
                 remaining = remaining[1:]
             else:
-                self.stats["retries"] += 1
+                session.stats["retries"] += 1
         if remaining:
-            self.stats["probe_respawns"] += 1
+            session.stats["probe_respawns"] += 1
             self.pending.appendleft((remaining, True))
         if not self.unresolved:
             self.done.set()
@@ -540,171 +553,69 @@ def coordinate(
     lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
     on_listen=None,  # noqa: ANN001 - (host, port) -> None
 ) -> CampaignResult:
-    """Run one campaign over the fabric; the distributed ``Campaign.run``.
+    """Run one campaign over the fabric; the parallel ``Campaign.run``.
 
     Binds a coordinator on ``bind`` (port 0 picks a free one; the bound
     address is reported through ``on_listen``), optionally spawns
-    ``workers`` local loopback worker agents, and executes the campaign
-    exactly as :meth:`~repro.fault.campaign.Campaign.run` would:
-    ``resume_from`` skips finished specs, ``log_path`` checkpoints every
-    record as it arrives and gains the stats trailer even on interrupt,
-    quarantined specs are skipped-with-record, and the merged result is
-    sorted into global spec order before analysis — so fabric,
-    pool-parallel and serial runs of one campaign are record-for-record
-    interchangeable.
+    ``workers`` local loopback worker processes, and executes the
+    campaign in the same :class:`~repro.fault.session.CampaignSession`
+    as the serial runner — resume, quarantine, checkpoint stream and
+    spec-order merge alike — so fabric and serial runs of one campaign
+    are record-for-record interchangeable.  ``shard_size`` is the lease
+    size (default: auto sized).
 
-    With ``workers=0`` the coordinator only serves: start worker agents
-    elsewhere with ``repro fabric work``.  Local workers are supervised
-    like pool processes — a dead one is respawned, and when respawns
-    keep dying without progress
+    Local workers are forked and handed the suite recipe, so they run
+    any campaign with the default testbed.  With ``workers=0`` the
+    coordinator only serves agents started elsewhere with ``repro
+    fabric work``, which rebuild the suite from the JSON
+    :class:`~repro.fabric.config.FabricConfig` (:class:`FabricError`
+    for a campaign it cannot describe).
+
+    Local workers are supervised: a dead one is respawned; a worker
+    that dies before any work was leased raises ``RuntimeError`` (it
+    cannot start); and when respawns keep dying without progress
     (:class:`~repro.fault.resilience.RespawnBreaker`) the rest of the
     campaign degrades to the serial in-process runner.
     """
-    config = FabricConfig.from_campaign(campaign, timeout_s)  # fail fast
-    specs = list(campaign.iter_specs())
-    remaining = specs
-    done: list[TestRecord] = []
-    if resume_from is not None:
-        done, remaining = campaign._split_resume(resume_from, specs)
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
-    stats: dict = {
-        "pool_respawns": 0,
-        "probe_respawns": 0,
-        "retries": 0,
-        "degraded_serial": False,
-        "quarantined_skips": 0,
-        "reset_modes": {},
-    }
-    if resume_from is not None and resume_from.execution_stats:
-        _merge_execution_stats(stats, resume_from.execution_stats)
-    quarantine: Quarantine | None = None
-    if quarantine_path is not None:
-        quarantine = Quarantine.load(quarantine_path)
-        skipped = [s for s in remaining if s.test_id in quarantine]
-        if skipped:
-            remaining = [s for s in remaining if s.test_id not in quarantine]
-            done = [
-                *done,
-                *(
-                    quarantined_record(
-                        spec,
-                        campaign.kernel_version,
-                        campaign.frames,
-                        quarantine.entries.get(spec.test_id),
-                    )
-                    for spec in skipped
-                ),
-            ]
-            stats["quarantined_skips"] = len(skipped)
-    stream = (
-        CampaignLog.stream(log_path, fsync=log_fsync)
-        if log_path is not None
-        else None
-    )
-    records: list[TestRecord] = []
-    warned: set[str] = set()
-    total = len(remaining)
-    sink: RecordSink | None = stream.append if stream is not None else None
-
-    def guarded(kind: str, hook, *args) -> None:  # noqa: ANN001
-        try:
-            hook(*args)
-        except ChaosError:
-            raise
-        except Exception as exc:
-            if kind not in warned:
-                warned.add(kind)
-                warnings.warn(
-                    f"campaign {kind} callback raised {exc!r}; "
-                    "suppressing further errors from this hook",
-                    stacklevel=2,
-                )
-
-    def emit(record: TestRecord) -> None:
-        records.append(record)
-        if sink is not None:
-            guarded("sink", sink, record)
-        if progress is not None:
-            guarded("progress", progress, len(records), total, record)
-
-    arbiter_box: list[VerdictArbiter] = []
-
-    def deliver(record: TestRecord, worker: _Worker) -> bool:
-        arbiter = arbiter_box[0]
-        if record.watchdog_expired and not policy.single_shot:
-            if not arbiter.observe(record.test_id, "watchdog_expired"):
-                stats["retries"] += 1
-                return False
-        arbiter.annotate(record)
-        # Fabric provenance: which agent on which host ran this test
-        # (stripped, like all host context, in identity comparisons).
-        record.host_context = {
-            "fabric_worker": worker.name,
-            "worker_host": worker.host,
-        }
-        emit(record)
-        return True
-
-    coordinator = FabricCoordinator(
-        campaign,
-        remaining,
-        deliver,
-        emit,
-        config=config,
-        policy=policy,
-        stats=stats,
-        quarantine=quarantine,
-        shard_size=shard_size,
-        batch_records=batch_records,
-        heartbeat_s=heartbeat_s,
-        lease_timeout_s=lease_timeout_s,
-        expected_workers=workers or 4,
-    )
-    arbiter_box.append(coordinator.arbiter)
-    try:
-        if stream is not None:
-            for record in done:
-                stream.append(record)
-        asyncio.run(
-            _execute(coordinator, bind, workers, stats, heartbeat_s, on_listen)
+    if shard_size is not None and shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    # Fail fast, before any log is opened.
+    config = FabricConfig.from_campaign(campaign, timeout_s, portable=not workers)
+    with CampaignSession(
+        campaign, progress, resume_from, log_path, retry_policy,
+        quarantine_path, log_fsync,
+    ) as session:
+        coordinator = FabricCoordinator(
+            session,
+            config,
+            workers=workers,
+            shard_size=shard_size,
+            batch_records=batch_records,
+            heartbeat_s=heartbeat_s,
+            lease_timeout_s=lease_timeout_s,
         )
+        asyncio.run(_execute(coordinator, bind, workers, heartbeat_s, on_listen))
         if coordinator.failure is not None:
             raise coordinator.failure
         if coordinator.degraded and coordinator.unresolved:
-            stats["degraded_serial"] = True
+            session.stats["degraded_serial"] = True
             leftovers = [
                 coordinator.spec_at[i] for i in sorted(coordinator.unresolved)
             ]
             warnings.warn(
                 f"fabric worker respawn budget exhausted after "
-                f"{stats['pool_respawns']} respawns; degrading to serial "
-                f"execution for {len(leftovers)} remaining specs",
+                f"{session.stats['pool_respawns']} respawns; degrading to "
+                f"serial execution for {len(leftovers)} remaining specs",
                 stacklevel=2,
             )
-            campaign._run_serial(leftovers, None, emit, timeout_s, policy, stats)
-    finally:
-        if stream is not None:
-            try:
-                stream.append_stats(stats)
-            finally:
-                stream.close()
-        if quarantine is not None and quarantine.dirty:
-            quarantine.save()
-    order = {spec.test_id: index for index, spec in enumerate(specs)}
-    combined = [*done, *records]
-    combined.sort(key=lambda record: order[record.test_id])
-    log = CampaignLog(combined)
-    log.execution_stats = stats
-    result = campaign.analyse(log)
-    result.execution_stats = stats
-    return result
+            campaign._run_serial(leftovers, session, timeout_s)
+    return session.result()
 
 
 async def _execute(
     coordinator: FabricCoordinator,
     bind: tuple[str, int],
     workers: int,
-    stats: dict,
     heartbeat_s: float,
     on_listen,  # noqa: ANN001
 ) -> None:
@@ -721,6 +632,16 @@ async def _execute(
         if "fork" in mp.get_all_start_methods()
         else mp.get_context()
     )
+    campaign = coordinator.campaign
+    # Handed over at spawn: a forked worker needs no JSON description of
+    # the suite, so custom models, dictionaries and strategies run too.
+    recipe = wire.SuiteRecipe(
+        model=campaign.model,
+        dictionaries=campaign.dictionaries,
+        strategy=campaign.strategy,
+        functions=campaign.functions,
+        total=len(coordinator.spec_at),
+    )
 
     def spawn(slot: int):  # noqa: ANN202
         process = context.Process(
@@ -731,20 +652,26 @@ async def _execute(
                 "name": f"local-{slot}",
                 "reconnect": True,
                 "heartbeat_s": heartbeat_s,
+                "recipe": recipe,
             },
             daemon=True,
         )
         process.start()
         return process
 
-    processes: list = [spawn(slot) for slot in range(workers)]
+    processes: list = (
+        [spawn(slot) for slot in range(workers)] if coordinator.unresolved else []
+    )
+    stats = coordinator.session.stats
     breaker = RespawnBreaker()
     supervisor: asyncio.Task | None = None
 
     async def supervise() -> None:
-        # Local workers get pool-grade supervision: respawn the dead,
-        # and degrade to serial when respawns keep dying fruitlessly.
-        marker = coordinator.progress_marker()
+        # Each respawned process is one breaker round, productive if the
+        # campaign advanced while it lived.  A worker lost on a probe
+        # lease counts as a probe respawn (its re-lease did), not as a
+        # pool respawn.
+        respawned_at: dict[int, tuple] = {}
         while True:
             await asyncio.sleep(0.2)
             if coordinator.done.is_set():
@@ -752,17 +679,31 @@ async def _execute(
             for slot, process in enumerate(processes):
                 if process is None or process.is_alive():
                     continue
+                name = f"local-{slot}"
+                if name in coordinator.workers:
+                    continue  # its lost connection is not handled yet
                 process.join()
                 processes[slot] = None
-                if coordinator.done.is_set() or not coordinator.unresolved:
+                on_probe = name in coordinator.lost_on_probe
+                coordinator.lost_on_probe.discard(name)
+                if not coordinator._lease_seq:  # nothing leased yet
+                    coordinator.failure = RuntimeError(
+                        "worker pool died before any test started "
+                        "(initializer failure?)"
+                    )
+                    coordinator.done.set()
+                    return
+                if slot in respawned_at:
+                    breaker.note_round(
+                        coordinator.progress_marker() != respawned_at.pop(slot)
+                    )
+                if coordinator.done.is_set() or breaker.tripped:
                     continue
-                breaker.note_round(coordinator.progress_marker() != marker)
-                marker = coordinator.progress_marker()
-                if breaker.tripped:
-                    continue
-                stats["pool_respawns"] += 1
+                if not on_probe:
+                    stats["pool_respawns"] += 1
                 breaker.note_spawn()
                 processes[slot] = spawn(slot)
+                respawned_at[slot] = coordinator.progress_marker()
             if (
                 breaker.tripped
                 and all(process is None for process in processes)
@@ -772,7 +713,7 @@ async def _execute(
                 coordinator.done.set()
                 return
 
-    if workers:
+    if processes:
         supervisor = asyncio.create_task(supervise())
     if on_listen is not None:
         on_listen(*coordinator.addr)

@@ -3,7 +3,7 @@
 One agent process serves one coordinator.  The control plane is an
 asyncio connection (hello/welcome, lease grants, revocations,
 heartbeats); the data plane is the same :class:`~repro.fault.executor`
-the pool path uses, running leases on a thread so the event loop keeps
+the serial path uses, running leases on a thread so the event loop keeps
 heartbeating while tests execute — which is exactly why the per-test
 watchdog has an off-main-thread fallback (see ``_watchdog`` in the
 executor).  Records travel back as batches of compact
@@ -15,7 +15,9 @@ The agent is deliberately stateless between leases: everything it
 knows (spec table, compiled plan, executor) derives from the welcome
 frame's :class:`~repro.fabric.config.FabricConfig`, so a worker that
 reconnects — or a fresh worker replacing a dead one — rebuilds the
-identical state and any spec index means the same test.
+identical state and any spec index means the same test.  A loopback
+worker forked by the coordinator is also handed the campaign's suite
+recipe, so it can run a campaign the JSON config cannot describe.
 """
 
 from __future__ import annotations
@@ -33,14 +35,20 @@ from repro.fault.executor import TestExecutor, _kill_injected
 from repro.fault.plan import group_consecutive
 from repro.fault.testlog import TestRecord
 
-#: Records per batch frame on the data plane (the fabric analogue of
-#: the pool relay's ``_RELAY_BATCH_SIZE``).
+#: Records per batch frame on the data plane.  One frame per record
+#: would cost an encode, a socket write and a coordinator wakeup per
+#: test; batching amortises that, and a worker death loses at most one
+#: unflushed batch, whose specs are simply re-leased as probes.
 DEFAULT_FLUSH_RECORDS = 32
 #: Maximum seconds a finished record may sit unflushed: keeps the
 #: coordinator's view of lease progress fresh even when records are
 #: trickling in far below the batch size.
-DEFAULT_FLUSH_INTERVAL_S = 0.5
+FLUSH_INTERVAL_S = 0.5
 DEFAULT_HEARTBEAT_S = 2.0
+#: Connection attempts (and the pause between them) before an agent
+#: gives up on an unreachable coordinator.
+CONNECT_ATTEMPTS = 20
+CONNECT_DELAY_S = 0.25
 
 #: Sentinel queued by the reader task when the connection is gone.
 _CLOSED = {"type": "__closed__"}
@@ -56,20 +64,16 @@ class WorkerAgent:
         name: str | None = None,
         reconnect: bool = True,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        flush_records: int = DEFAULT_FLUSH_RECORDS,
-        flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S,
-        connect_attempts: int = 20,
-        connect_delay_s: float = 0.25,
+        recipe: wire.SuiteRecipe | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.reconnect = reconnect
         self.heartbeat_s = heartbeat_s
-        self.flush_records = max(1, flush_records)
-        self.flush_interval_s = flush_interval_s
-        self.connect_attempts = connect_attempts
-        self.connect_delay_s = connect_delay_s
+        #: Suite recipe handed over at spawn (loopback workers); None =
+        #: rebuild it from the welcome frame's config.
+        self.recipe = recipe
         #: Lease number -> spec indices revoked (stolen) from that
         #: lease; read by the execution thread, written by the event
         #: loop's reader task.  Keyed by lease because a stolen index
@@ -95,12 +99,12 @@ class WorkerAgent:
                 reader, writer = await asyncio.open_connection(self.host, self.port)
             except OSError:
                 misses += 1
-                if misses >= self.connect_attempts:
+                if misses >= CONNECT_ATTEMPTS:
                     raise FabricError(
                         f"coordinator at {self.host}:{self.port} unreachable "
                         f"after {misses} attempts"
                     )
-                await asyncio.sleep(self.connect_delay_s)
+                await asyncio.sleep(CONNECT_DELAY_S)
                 continue
             misses = 0
             try:
@@ -209,7 +213,7 @@ class WorkerAgent:
                     return False
                 if frame.get("type") == "done":
                     return True
-                await self._execute_lease(state, frame, send)
+                await self._execute_lease(state, frame, send, writer.write)
         except (ConnectionError, OSError):
             return await drain_for_done()
         finally:
@@ -224,7 +228,9 @@ class WorkerAgent:
         if self._state is not None and self._state[0] == key:
             return self._state
         config = FabricConfig.from_dict(config_dict)
-        table = wire.build_spec_table(config.recipe())
+        table = wire.build_spec_table(
+            self.recipe if self.recipe is not None else config.recipe()
+        )
         executor = TestExecutor(
             kernel_version=config.kernel_version,
             frames=config.frames,
@@ -243,45 +249,38 @@ class WorkerAgent:
 
     # -- lease execution ----------------------------------------------------
 
-    async def _execute_lease(self, state, frame, send) -> None:  # noqa: ANN001
-        """Run one lease on a thread, streaming record batches back."""
+    async def _execute_lease(self, state, frame, send, write) -> None:  # noqa: ANN001
+        """Run one lease on a thread, streaming record batches back.
+
+        The execution thread encodes each batch frame itself and hands
+        the loop only the bytes to ``write``: leaving the encoding to
+        the loop thread stalled the tests on the interpreter lock once
+        per batch.
+        """
         _key, config, executor, table, plan = state
         lease_no = frame.get("lease")
         indices = list(frame.get("indices", ()))
-        flush_n = max(1, int(frame.get("flush") or self.flush_records))
+        flush_n = max(1, int(frame.get("flush") or DEFAULT_FLUSH_RECORDS))
         loop = asyncio.get_running_loop()
-        batches: asyncio.Queue = asyncio.Queue()
 
         def submit(batch: list[dict]) -> None:
+            message = {"type": "records", "lease": lease_no, "records": batch}
             if flush_n == 1:
                 # Per-record leases probe the suspects of a worker
                 # death: a record must be on the wire before the next
                 # test runs, or a death in that test would leave the
                 # coordinator blaming the innocent one still queued.
-                message = {
-                    "type": "records", "lease": lease_no, "records": batch
-                }
                 asyncio.run_coroutine_threadsafe(send(message), loop).result()
             else:
-                loop.call_soon_threadsafe(batches.put_nowait, batch)
+                loop.call_soon_threadsafe(write, encode_frame(message))
 
-        async def pump() -> None:
-            while True:
-                batch = await batches.get()
-                await send(
-                    {"type": "records", "lease": lease_no, "records": batch}
-                )
-                batches.task_done()
-
-        pump_task = asyncio.create_task(pump())
         try:
             stats, phases = await asyncio.to_thread(
                 self._run_indices, config, executor, table, plan,
                 lease_no, indices, flush_n, submit,
             )
-            # Every submit() ran before to_thread resolved (both arrive
-            # via call_soon_threadsafe, FIFO), so join() sees them all.
-            await batches.join()
+            # Every write was queued with call_soon_threadsafe before
+            # to_thread resolved (FIFO), so the records precede this.
             done_frame = {"type": "lease-done", "lease": lease_no}
             if stats:
                 done_frame["stats"] = stats
@@ -289,7 +288,6 @@ class WorkerAgent:
                 done_frame["phases"] = phases
             await send(done_frame)
         finally:
-            pump_task.cancel()
             with self._revoked_lock:
                 self._revoked.pop(lease_no, None)
 
@@ -304,7 +302,7 @@ class WorkerAgent:
         flush_n: int,
         submit,  # noqa: ANN001
     ) -> tuple[dict, dict]:
-        """Execution-thread body: the fabric's ``run_shard_payload``.
+        """Execution-thread body: run one lease's specs.
 
         Runs the leased indices in order, skipping any revoked from
         this lease before they start (a stolen index already running
@@ -320,7 +318,7 @@ class WorkerAgent:
             nonlocal last_flush
             pending.append(wire.encode_record(record))
             now = time.monotonic()
-            if len(pending) >= flush_n or now - last_flush >= self.flush_interval_s:
+            if len(pending) >= flush_n or now - last_flush >= FLUSH_INTERVAL_S:
                 submit(pending[:])
                 pending.clear()
                 last_flush = now
@@ -337,11 +335,11 @@ class WorkerAgent:
             live = [(i, plan.entries[i]) for i in indices]
             if config.batch_hypercalls:
                 for group in _group_pairs(live):
-                    entries = [e for i, e in group if not skip(i)]
-                    if not entries:
-                        continue
+                    # Lazy, so an index revoked while its group runs is
+                    # skipped rather than run twice (here and by the
+                    # thief that stole it).
                     executor.run_group(
-                        entries,
+                        (e for i, e in group if not skip(i)),
                         emit=lambda _e, r: emit_record(r),
                         gate=lambda e: gate(e.test_id),
                     )
@@ -395,11 +393,17 @@ def run_worker(
     name: str | None = None,
     reconnect: bool = True,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+    recipe: wire.SuiteRecipe | None = None,
 ) -> None:
     """Module-level worker entry point (picklable for multiprocessing)."""
     from repro.fault import failpoints
 
     failpoints.mark_worker_process()
     WorkerAgent(
-        host, port, name=name, reconnect=reconnect, heartbeat_s=heartbeat_s
+        host,
+        port,
+        name=name,
+        reconnect=reconnect,
+        heartbeat_s=heartbeat_s,
+        recipe=recipe,
     ).run()

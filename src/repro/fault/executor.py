@@ -28,15 +28,11 @@ be snapshottable.
 
 Process isolation (worker processes separate from the campaign,
 faithful to the paper's one-TSIM-per-test shell scripts) is provided by
-the module-level worker entry points used by the parallel campaign
-runner; each worker process builds its snapshot once (in the pool
-initializer) and reuses it for every *shard* — a batch of spec-table
-indices — it is handed.  Workers announce each shard and stream every
-finished record back on the results relay, so the campaign can both
-checkpoint per record and attribute a worker death to the exact spec
-that caused it; an optional wall-clock watchdog (``timeout_s``) turns a
-runaway run into a ``sim_hung``-style record instead of a stalled
-campaign.
+the fabric's worker agents (:mod:`repro.fabric.worker`): each worker
+process holds one executor, builds its snapshot once and reuses it for
+every lease of spec-table indices it is handed.  An optional wall-clock
+watchdog (``timeout_s``) turns a runaway run into a ``sim_hung``-style
+record instead of a stalled campaign.
 """
 
 from __future__ import annotations
@@ -86,7 +82,7 @@ HANG_SPEC_ENV = "REPRO_HANG_SPEC"
 #: Directory of one-shot markers: when set, each injected kill/hang
 #: fires only the *first* time a given test id is handed to a worker
 #: (a marker file is claimed with O_CREAT|O_EXCL, so the exactly-once
-#: guarantee holds across pool respawns and processes).  Transient
+#: guarantee holds across worker respawns and processes).  Transient
 #: faults are what verdict arbitration exists to absorb — this is how
 #: its tests make a spec lethal once and innocent ever after.
 FAULT_ONCE_DIR_ENV = "REPRO_FAULT_ONCE_DIR"
@@ -226,10 +222,9 @@ _THREAD_WATCHDOG = threading.local()
 def _watchdog(timeout_s: float | None) -> Iterator[None]:
     """Raise :class:`WatchdogExpired` in-thread after ``timeout_s``.
 
-    SIGALRM-based on the main thread of a process (pool workers run
-    tests on their own main threads, so the watchdog holds in parallel
-    campaigns); off the main thread — a fabric worker agent running the
-    executor from its event loop's thread pool — it falls back to a
+    SIGALRM-based on the main thread of a process (the serial runner);
+    off the main thread — a fabric worker agent running the executor
+    from its event loop's thread pool — it falls back to a
     :class:`_ThreadWatchdog` timer thread instead of silently running
     unguarded.  Either way a runaway test (a livelock the event budget
     cannot see, e.g. one spinning outside the simulator) is interrupted
@@ -488,8 +483,8 @@ class TestExecutor:
     def prepare(self) -> None:
         """Eagerly build (or fetch) the warm-boot snapshot.
 
-        Worker processes call this from the pool initializer so the
-        one-off boot cost is paid before the first test arrives.  Falls
+        Worker agents call this while they set up, so the one-off boot
+        cost is paid before the first test arrives.  Falls
         back to cold boots when the system is not snapshottable.
         """
         if not self.warm_boot:
@@ -552,7 +547,7 @@ class TestExecutor:
 
         ``emit(entry, record)`` fires as each record exists (streamed
         checkpoints keep per-test granularity); ``gate(entry)`` fires
-        before each test (the pool worker's kill-injection hook).
+        before each test (the worker agent's kill-injection hook).
         """
         if (
             not (self.warm_boot and self.delta_reset)
@@ -909,8 +904,9 @@ def worker_killed_record(
     outcome (the process-level analogue of the paper's simulator-crash
     failure mode) and the campaign carries on.  ``attempts`` /
     ``arbitrated`` carry the verdict-arbitration provenance and
-    ``host_context`` the pool shape the kills were observed under, so
-    triage can separate kernel-caused deaths from host-load artefacts.
+    ``host_context`` the worker and lease shape the kills were observed
+    under, so triage can separate kernel-caused deaths from host-load
+    artefacts.
     """
     return TestRecord(
         test_id=spec.test_id,
@@ -924,172 +920,3 @@ def worker_killed_record(
         arbitrated=arbitrated,
         host_context=host_context,
     )
-
-
-# -- process-pool entry points ---------------------------------------------
-
-#: Per-worker executor installed by :func:`_init_worker`.
-_WORKER: TestExecutor | None = None
-#: Results relay (a SimpleQueue): workers announce each shard on
-#: arrival and stream finished records back in batches (see
-#: ``_RELAY_BATCH_SIZE``), so the parent can checkpoint as they arrive
-#: and, when a worker dies, narrow the killer to the announced shard's
-#: specs without records.  SimpleQueue puts are synchronous (no feeder
-#: thread), so every message put before a kill survives it.
-_RELAY = None
-#: Records accumulated per relay message.  One put per record cost a
-#: pickle + pipe syscall + parent wakeup per test — on a single-CPU
-#: host that dispatch overhead made the parallel path slower than
-#: serial (BENCH speedup_over_serial_w1: 0.48).  Batching amortises it
-#: ~32x; the worst case a worker kill can lose is one unflushed batch,
-#: and those specs are simply re-probed (they are suspects precisely
-#: because no record arrived).
-_RELAY_BATCH_SIZE = 32
-#: Spec table regenerated from the campaign's SuiteRecipe — the wire
-#: format for a shard is a list of indices into this table, not pickled
-#: spec dicts (see :mod:`repro.fault.wire`).
-_SPEC_TABLE: list[TestCallSpec] | None = None
-#: Compiled plan over the spec table (same order, same indices), or
-#: None when the campaign runs uncompiled.
-_PLAN: CompiledPlan | None = None
-#: Whether shards run as batched same-hypercall groups.
-_BATCH: bool = True
-#: Reset-stats counts already relayed to the parent (per-shard deltas
-#: are sent, so pool respawns and multi-shard workers both sum cleanly).
-_STATS_SENT: dict[str, int] = {}
-#: Phase seconds already relayed to the parent (same delta scheme).
-_PHASES_SENT: dict[str, float] = {}
-
-
-def _init_worker(
-    kernel_version: str,
-    frames: int,
-    warm_boot: bool,
-    timeout_s: float | None = None,
-    relay=None,  # noqa: ANN001 - mp.SimpleQueue proxy
-    recipe=None,  # noqa: ANN001 - wire.SuiteRecipe
-    delta_reset: bool = True,
-    journal_budget: int | None = DEFAULT_JOURNAL_BUDGET,
-    verify_reset: bool = False,
-    compiled_plan: bool = True,
-    batch_hypercalls: bool = True,
-    verify_plan: bool = False,
-    profile: bool = False,
-) -> None:
-    global _WORKER, _RELAY, _SPEC_TABLE, _PLAN, _BATCH, _STATS_SENT, _PHASES_SENT
-    failpoints.mark_worker_process()
-    _WORKER = TestExecutor(
-        kernel_version=kernel_version,
-        frames=frames,
-        warm_boot=warm_boot,
-        timeout_s=timeout_s,
-        delta_reset=delta_reset,
-        journal_budget=journal_budget,
-        verify_reset=verify_reset,
-        verify_plan=verify_plan,
-        profile=profile,
-    )
-    _RELAY = relay
-    _STATS_SENT = {}
-    _PHASES_SENT = {}
-    _PLAN = None
-    _BATCH = batch_hypercalls
-    if recipe is not None:
-        from repro.fault.wire import build_spec_table
-
-        _SPEC_TABLE = build_spec_table(recipe)
-        if compiled_plan:
-            # Derived, not shipped: the recipe is the wire format, and
-            # compilation is pure in it, so both sides hold the same
-            # plan (table indices double as plan-entry indices).
-            _PLAN = _WORKER.compile_suite(_SPEC_TABLE)
-    _WORKER.prepare()
-
-
-def run_shard_payload(shard: tuple[int, list[int]]) -> int:
-    """Pool worker: run one shard on this process's persistent executor.
-
-    ``shard`` is ``(shard_no, indices)`` — indices into the spec table
-    both sides derived from the campaign's recipe.  The worker announces
-    the shard on the relay, then runs each spec in order and streams
-    records back in batches (compact
-    :func:`~repro.fault.wire.encode_record` form, ``_RELAY_BATCH_SIZE``
-    per message plus a final flush), amortising the per-message pickle
-    and pipe syscall that made one-record-per-put dispatch slower than
-    serial.  A worker death loses at most the unflushed tail of a batch;
-    those specs land in the suspect set (no record arrived) and the
-    probe pool re-runs them in order, so killer attribution still
-    converges on the first spec that actually kills.  Under a compiled
-    plan the shard executes as batched same-hypercall groups, and the
-    kill-injection gate still fires between tests, so supervision
-    semantics are unchanged.  Returns the number of specs run (records
-    travel on the relay, not the future).
-    """
-    assert _WORKER is not None, "pool started without _init_worker"
-    assert _SPEC_TABLE is not None, "pool started without a suite recipe"
-    from repro.fault.plan import group_consecutive
-    from repro.fault.wire import encode_record
-
-    shard_no, indices = shard
-    if _RELAY is not None:
-        _RELAY.put(("shard", shard_no))
-
-    pending: list[dict] = []
-
-    def relay_record(record: TestRecord) -> None:
-        if _RELAY is not None:
-            pending.append(encode_record(record))
-            if len(pending) >= _RELAY_BATCH_SIZE:
-                _RELAY.put(("records", pending[:]))
-                pending.clear()
-
-    def flush_records() -> None:
-        if _RELAY is not None and pending:
-            _RELAY.put(("records", pending[:]))
-            pending.clear()
-
-    if _PLAN is not None:
-        entries = [_PLAN.entries[index] for index in indices]
-
-        def gate(entry: PlanEntry) -> None:
-            if _kill_injected(entry.test_id):
-                os._exit(17)  # fault injection: die like a harness-killing test
-
-        def emit(entry: PlanEntry, record: TestRecord) -> None:
-            relay_record(record)
-
-        if _BATCH:
-            for group in group_consecutive(entries):
-                _WORKER.run_group(group, emit=emit, gate=gate)
-        else:
-            for entry in entries:
-                gate(entry)
-                relay_record(_WORKER.run_planned(entry))
-        count = len(entries)
-    else:
-        specs = [_SPEC_TABLE[index] for index in indices]
-        for spec in specs:
-            if _kill_injected(spec.test_id):
-                os._exit(17)  # fault injection: die like a harness-killing test
-            relay_record(_WORKER.run(spec))
-        count = len(specs)
-    flush_records()
-    if _RELAY is not None:
-        delta = {
-            name: count_ - _STATS_SENT.get(name, 0)
-            for name, count_ in _WORKER.reset_stats.items()
-            if count_ != _STATS_SENT.get(name, 0)
-        }
-        if delta:
-            _STATS_SENT.update(_WORKER.reset_stats)
-            _RELAY.put(("stats", delta))
-        if _WORKER.profile:
-            phases = {
-                name: seconds - _PHASES_SENT.get(name, 0.0)
-                for name, seconds in _WORKER.phase_times.items()
-                if seconds != _PHASES_SENT.get(name, 0.0)
-            }
-            if phases:
-                _PHASES_SENT.update(_WORKER.phase_times)
-                _RELAY.put(("phases", phases))
-    return count

@@ -2,22 +2,22 @@
 
 The paper's method assumes the *kernel* under test is hostile; this
 module assumes the *host* is.  A failpoint is a named site inside the
-execution stack — campaign pool rounds, probe loops and respawns,
-executor runs and snapshot recycling, log appends/flushes/replaces, the
-relay codecs — where a configured fault fires:
+execution stack — executor runs and snapshot recycling, log
+appends/flushes/replaces, the relay codecs — where a configured fault
+fires:
 
 - ``raise``        — raise :class:`ChaosError` at the site (an abrupt
   host failure: the campaign is interrupted exactly there);
 - ``kill``         — ``os._exit`` the process, but only when it is a
-  pool worker (in the campaign parent the action degrades to ``raise``
+  worker process (in the campaign parent the action degrades to ``raise``
   so a chaos run never takes the test harness itself down);
 - ``delay``        — sleep a few milliseconds, perturbing thread and
-  pool interleavings;
+  worker interleavings;
 - ``short-write``  — *cooperative*: the site is told to write only a
   prefix of its payload and then crash, modelling power loss mid-append.
 
 Sites are compiled into the hot paths as cheap no-ops and armed through
-the ``REPRO_FAILPOINTS`` environment variable (inherited by pool
+the ``REPRO_FAILPOINTS`` environment variable (inherited by forked
 workers), either per site (``testlog.append=raise:0.1``) or in *chaos
 mode* (``chaos:<seed>[:<rate>]``), where a seeded RNG arms every site
 probabilistically.  The randomized soak tests drive campaigns under
@@ -42,12 +42,9 @@ DEFAULT_CHAOS_RATE = 0.05
 
 #: The injection sites wired through the execution stack, with the
 #: actions each may fire.  ``kill`` only appears on sites that execute
-#: inside pool workers; ``short-write`` only on sites that own a file
+#: inside worker processes; ``short-write`` only on sites that own a file
 #: write and cooperate with the injected truncation.
 SITES: dict[str, tuple[str, ...]] = {
-    "campaign.pool_round": ("raise", "delay"),
-    "campaign.probe_loop": ("raise", "delay"),
-    "campaign.respawn": ("raise", "delay"),
     "executor.run": ("raise", "delay", "kill"),
     "executor.recycle": ("raise", "delay"),
     "testlog.append": ("raise", "delay", "short-write"),
@@ -198,13 +195,13 @@ class Failpoints:
         return self._hits.get(site, 0)
 
 
-#: True in pool worker processes (set by the pool initializer); arms
+#: True in worker processes (set by the worker entry point); arms
 #: the ``kill`` action — the campaign parent never kills itself.
 _WORKER_PROCESS = False
 
 
 def mark_worker_process() -> None:
-    """Flag this process as a pool worker (arms the ``kill`` action)."""
+    """Flag this process as a worker (arms the ``kill`` action)."""
     global _WORKER_PROCESS
     _WORKER_PROCESS = True
 

@@ -342,7 +342,7 @@ def campaign_summary(result: CampaignResult) -> str:
         lines.append(f"Reset modes       : {breakdown}")
     if stats.get("pool_respawns") or stats.get("probe_respawns"):
         lines.append(
-            "Pool respawns     : "
+            "Worker respawns   : "
             f"{stats.get('pool_respawns', 0)} main, "
             f"{stats.get('probe_respawns', 0)} probe"
         )

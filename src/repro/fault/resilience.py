@@ -1,6 +1,6 @@
 """Resilient verdicts: retry-with-quorum, killer quarantine, respawn breaker.
 
-PR 2 made campaign *execution* durable (streaming log, supervised pool,
+Campaign *execution* is durable (streaming log, supervised workers,
 watchdog); this module makes the *verdicts* durable.  Terminal
 process-level outcomes — ``worker_killed`` and ``watchdog_expired`` —
 were previously issued from a single observation, so one host-load
@@ -14,11 +14,12 @@ fix that:
   ``attempts`` and the ``arbitrated`` provenance land on the record.
 - :class:`Quarantine` — specs with a confirmed killer verdict persist
   in a JSON quarantine file; later campaigns skip them with a
-  ``quarantined`` record instead of feeding them to a fresh pool, and
+  ``quarantined`` record instead of feeding them to a fresh worker, and
   the CLI ``quarantine`` subcommand reviews/edits the list.
-- :class:`RespawnBreaker` — a circuit breaker over pool respawns: when
-  respawned pools keep dying *without* making progress, execution
-  degrades to the serial in-process runner instead of thrashing.
+- :class:`RespawnBreaker` — a circuit breaker over worker respawns:
+  when respawned workers keep dying *without* making progress,
+  execution degrades to the serial in-process runner instead of
+  thrashing.
 """
 
 from __future__ import annotations
@@ -195,14 +196,15 @@ class Quarantine:
 
 @dataclass
 class RespawnBreaker:
-    """Circuit breaker over pool respawns.
+    """Circuit breaker over worker respawns.
 
-    Every pool created beyond the campaign's first counts as a respawn;
-    after a respawned pool's round the caller reports whether it was
-    *productive* (delivered a record, or advanced an arbitration with a
-    new lethal observation).  ``limit`` consecutive unproductive
-    respawns trip the breaker — the campaign stops feeding a dying pool
-    and degrades to the serial in-process runner for whatever remains.
+    Every worker process started to replace a dead one counts as a
+    respawn; when a respawned worker dies the caller reports whether
+    its lifetime was *productive* (the campaign resolved a spec, or
+    advanced an arbitration with a new lethal observation).  ``limit``
+    consecutive unproductive respawns trip the breaker — the campaign
+    stops feeding dying workers and degrades to the serial in-process
+    runner for whatever remains.
     """
 
     limit: int = 3
@@ -210,11 +212,11 @@ class RespawnBreaker:
     streak: int = 0
 
     def note_spawn(self) -> None:
-        """Count one pool respawn."""
+        """Count one worker respawn."""
         self.respawns += 1
 
     def note_round(self, productive: bool) -> None:
-        """Report whether the latest respawned pool's round progressed."""
+        """Report whether the latest respawned worker's lifetime progressed."""
         self.streak = 0 if productive else self.streak + 1
 
     @property
@@ -233,7 +235,7 @@ def quarantined_record(
 
     The spec is a *known* killer, so the record keeps the
     ``worker_killed`` verdict (the issue must not vanish from the
-    analysis just because the spec was not re-fed to a pool) and marks
+    analysis just because the spec was not re-fed to a worker) and marks
     ``quarantined`` so triage can tell a fresh kill from a skip.
     """
     record = TestRecord(

@@ -6,7 +6,7 @@ exceptions), partition and kernel statuses, and the fault monitor's
 actions.  A :class:`TestRecord` is the machine-readable unit; a
 :class:`CampaignLog` persists them as JSONL for later analysis.  The
 dict codec itself lives in :mod:`repro.fault.wire`, shared with the
-process-pool relay so the two serialisation paths cannot drift.
+fabric's record relay so the two serialisation paths cannot drift.
 """
 
 from __future__ import annotations
@@ -187,10 +187,10 @@ class TestRecord:
     #: The spec was skipped as a known killer (resilience.Quarantine);
     #: the worker_killed verdict is inherited, not freshly observed.
     quarantined: bool = False
-    #: Host-side execution context for post-hoc triage of process-level
-    #: verdicts (process count, shard size, attempt number) — separates
-    #: kernel-caused deaths from host-load artefacts.  None on records
-    #: whose verdict never involved the pool supervisor.
+    #: Host-side execution context for post-hoc triage (process count,
+    #: shard size, worker, attempt number) — separates kernel-caused
+    #: deaths from host-load artefacts.  None on serial records whose
+    #: verdict never involved a watchdog or a worker.
     host_context: dict | None = None
 
     @property
@@ -273,7 +273,7 @@ class CampaignLog:
     """An append-only collection of test records with JSONL persistence.
 
     ``execution_stats`` carries the run-level supervision counters
-    (reset modes, pool respawns, arbitration retries) alongside the
+    (reset modes, worker respawns, arbitration retries) alongside the
     records: :meth:`save` persists them as a tagged trailer line and
     :meth:`load` rehydrates them, so a log analysed offline reports
     exactly what the live run reported.
@@ -343,11 +343,9 @@ class CampaignLog:
         return log
 
     @classmethod
-    def stream(
-        cls, path: str | Path, flush_every: int = 1, fsync: bool = False
-    ) -> "LogStream":
+    def stream(cls, path: str | Path, fsync: bool = False) -> "LogStream":
         """Open a crash-durable append stream (see :class:`LogStream`)."""
-        return LogStream(path, flush_every=flush_every, fsync=fsync)
+        return LogStream(path, fsync=fsync)
 
 
 class LogStream:
@@ -355,13 +353,9 @@ class LogStream:
 
     Opened in append mode, so pointing it at a partial log continues
     that log; records whose test id is already on disk are skipped,
-    which makes resuming into the same file idempotent.  By default
-    each append is written and flushed immediately — an interrupted
-    campaign loses at most the record being written, never a completed
-    one.  ``flush_every=N`` relaxes the cadence to one flush per N
-    appends (plus one on close) for hosts where the per-record
-    ``flush()`` shows up next to very fast tests; the durability window
-    then widens to at most N records.
+    which makes resuming into the same file idempotent.  Each append is
+    written and flushed immediately — an interrupted campaign loses at
+    most the record being written, never a completed one.
 
     ``flush()`` hands the bytes to the OS but not to the platter: a
     *host* power loss (as opposed to a process crash) can still lose
@@ -371,15 +365,10 @@ class LogStream:
     price is measured in ``benchmarks/bench_durability.py``).
     """
 
-    def __init__(
-        self, path: str | Path, flush_every: int = 1, fsync: bool = False
-    ) -> None:
+    def __init__(self, path: str | Path, fsync: bool = False) -> None:
         self.path = Path(path)
-        #: Appends between flushes; 1 = checkpoint every record.
-        self.flush_every = max(1, int(flush_every))
         #: Follow each flush with os.fsync (durable against power loss).
         self.fsync = bool(fsync)
-        self._unflushed = 0
         #: Test ids already present on disk when the stream was opened
         #: (plus everything appended since); appends of these are no-ops.
         self.existing: set[str] = set()
@@ -440,10 +429,7 @@ class LogStream:
                 "failpoint 'testlog.append' fired (injected short write)"
             )
         self._fh.write(line)
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self._flush()
-            self._unflushed = 0
+        self._flush()
         self.existing.add(record.test_id)
         self.written += 1
 
@@ -457,7 +443,6 @@ class LogStream:
         """
         self._fh.write(json.dumps({STATS_KEY: stats}) + "\n")
         self._flush()
-        self._unflushed = 0
 
     def _flush(self) -> None:
         """Flush — and, with ``fsync=True``, sync — the stream to disk."""

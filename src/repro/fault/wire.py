@@ -1,7 +1,8 @@
-"""Wire formats for the campaign's process-pool and log paths.
+"""Wire formats for the campaign's worker and log paths.
 
 Everything that crosses a process or file boundary goes through this
-module, so the pool path and the JSONL log path cannot drift apart:
+module, so the fabric's record relay and the JSONL log path cannot
+drift apart:
 
 - **Spec codec** — :func:`spec_to_dict` / :func:`spec_from_dict`, the
   plain-dict form of a :class:`~repro.fault.mutant.TestCallSpec` (grew
@@ -9,21 +10,21 @@ module, so the pool path and the JSONL log path cannot drift apart:
 - **Record codec** — :func:`record_to_dict` / :func:`record_from_dict`,
   the JSON-serialisable form of a
   :class:`~repro.fault.testlog.TestRecord`.  ``record_from_dict`` is
-  the one decoder (log load, pool relay, fabric ingest) and is
+  the one decoder (log load and fabric ingest) and is
   forward-compatible: unknown keys (a log written by newer code) are
   dropped with a warning, missing keys take the dataclass defaults.
 - **Relay codec** — :func:`encode_record` / :func:`decode_record`, the
-  compact form streamed back from pool workers: fields still at their
-  defaults are omitted, which roughly halves the pickled size of a
+  compact form streamed back from fabric workers: fields still at their
+  defaults are omitted, which roughly halves the encoded size of a
   nominal record without changing what a decode reconstructs.  Logs on
   disk always use the full record codec.
 - **Spec table** — :class:`SuiteRecipe` and :func:`build_spec_table`.
   Suite generation is pure in the campaign configuration, so instead of
-  pickling every spec across the pool, the parent ships the *recipe*
-  once per worker (in the pool initializer) and each side derives the
-  identical, identically-ordered spec table; a shard on the wire is
-  then just a list of integer indices into that table
-  (see :func:`~repro.fault.executor.run_shard_payload`).
+  sending every spec to the workers, each worker gets the *recipe* once
+  (handed over at spawn, or rebuilt from the fabric's JSON config) and
+  each side derives the identical, identically-ordered spec table; a
+  lease on the wire is then just a list of integer indices into that
+  table (see :mod:`repro.fabric.worker`).
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def dedup_unknown_fields() -> Iterator[None]:
 def record_from_dict(data: dict) -> TestRecord:
     """Inverse of :func:`record_to_dict` — the one record decoder.
 
-    Log load, pool relay and fabric ingest all decode through here.
+    Log load and fabric ingest both decode through here.
     Keys this version does not know (a log written by newer code) are
     dropped with a warning rather than crashing the load, so old
     analysers keep working on forward-compatible logs; missing keys
@@ -219,7 +220,7 @@ def encode_record(record: TestRecord) -> dict:
     """Compact relay form: fields still at their defaults are omitted.
 
     A nominal record is mostly defaults (no crash, no resets, no HM
-    events), so dropping them roughly halves what a pool worker pickles
+    events), so dropping them roughly halves what a fabric worker sends
     back per test.  :func:`decode_record` restores the defaults, making
     the round trip lossless; the on-disk log format is unaffected.
     """
@@ -276,7 +277,7 @@ def generate_suites(
     """Expand every in-scope hypercall into its specs (Fig. 4 steps 1-3).
 
     This is the single source of truth for suite *ordering*: the
-    campaign and every pool worker derive their spec tables from it, so
+    campaign and every fabric worker derive their spec tables from it, so
     an index on the wire means the same spec on both sides.  The result
     is memoized and shared — treat it as immutable.
     """
@@ -304,11 +305,12 @@ def generate_suites(
 
 @dataclass(frozen=True)
 class SuiteRecipe:
-    """Everything a pool worker needs to rebuild the campaign's specs.
+    """Everything a worker needs to rebuild the campaign's specs.
 
-    Shipped once per worker in the pool initializer; ``total`` lets the
-    worker verify its locally generated table against the parent's
-    before any index is trusted.
+    Handed to each loopback worker when it is spawned (remote agents
+    rebuild it from the fabric config); ``total`` lets the worker verify
+    its locally generated table against the parent's before any index
+    is trusted.
     """
 
     model: ApiModel

@@ -5,6 +5,9 @@ Three questions the flat report cannot answer:
 - **diff** — which specs changed verdict between two campaigns (two
   kernel versions, two generator revisions, or an uninterrupted run
   versus its interrupted+resumed twin — the latter must be empty).
+  Test ids are positional (``function#index``), so a spec is the pair
+  (test id, argument labels): rows sharing an id but not their
+  arguments are counted apart, never compared.
 - **drift** — per spec, how its verdict churned across *all* runs of
   the same suite: the verdict sequence in ingest order, the number of
   transitions, and the distinct verdicts seen.
@@ -42,6 +45,9 @@ class CampaignDiff:
     only_left: int
     only_right: int
     changed: list[VerdictChange]
+    #: Test ids present on both sides with different argument labels
+    #: (another strategy or dictionary set); not compared.
+    mismatched: int = 0
 
     @property
     def drifted(self) -> bool:
@@ -53,6 +59,7 @@ class CampaignDiff:
         return (
             f"{self.left_id} vs {self.right_id}: {self.common} shared specs, "
             f"{len(self.changed)} verdict change(s), "
+            f"{self.mismatched} same id with different arguments, "
             f"{self.only_left} only-left, {self.only_right} only-right"
         )
 
@@ -60,29 +67,35 @@ class CampaignDiff:
 def diff_campaigns(
     warehouse: ResultsWarehouse, left_id: str, right_id: str
 ) -> CampaignDiff:
-    """Spec-by-spec verdict diff between two ingested campaigns."""
+    """Spec-by-spec verdict diff between two ingested campaigns.
+
+    Rows pair on test id *and* argument labels; a shared id with other
+    arguments is counted in ``mismatched`` instead of being compared.
+    """
     # Touch both provenance rows so an unknown id raises KeyError
     # instead of reporting an empty (and misleading) zero-drift diff.
     warehouse.campaign(left_id)
     warehouse.campaign(right_id)
     db = warehouse.connection
+    join = (
+        " FROM results l JOIN results r ON l.test_id = r.test_id"
+        " WHERE l.campaign_id = ? AND r.campaign_id = ?"
+    )
     changed = [
         VerdictChange(*row)
         for row in db.execute(
             "SELECT l.test_id, l.function, l.category, l.verdict, r.verdict"
-            " FROM results l JOIN results r ON l.test_id = r.test_id"
-            " WHERE l.campaign_id = ? AND r.campaign_id = ?"
-            "   AND l.verdict != r.verdict"
+            + join
+            + "   AND l.arg_labels = r.arg_labels AND l.verdict != r.verdict"
             " ORDER BY l.test_id",
             (left_id, right_id),
         )
     ]
-    common = db.execute(
-        "SELECT COUNT(*)"
-        " FROM results l JOIN results r ON l.test_id = r.test_id"
-        " WHERE l.campaign_id = ? AND r.campaign_id = ?",
+    common, mismatched = db.execute(
+        "SELECT COALESCE(SUM(l.arg_labels = r.arg_labels), 0),"
+        "       COALESCE(SUM(l.arg_labels != r.arg_labels), 0)" + join,
         (left_id, right_id),
-    ).fetchone()[0]
+    ).fetchone()
     only = {
         side: db.execute(
             "SELECT COUNT(*) FROM results a"
@@ -103,6 +116,7 @@ def diff_campaigns(
         only_left=only["left"],
         only_right=only["right"],
         changed=changed,
+        mismatched=mismatched,
     )
 
 

@@ -1,8 +1,6 @@
 """Durable campaigns: streaming logs, worker supervision, watchdog, atomic IO."""
 
 import json
-import multiprocessing
-import signal
 import time
 
 import pytest
@@ -41,8 +39,8 @@ def make_record(test_id, **overrides):
 def strip_wall_time(record):
     data = record.to_dict()
     data.pop("wall_time_s")
-    # Host-side provenance legitimately differs between runs (the pool
-    # shape depends on how many specs were left); the verdict must not.
+    # Host-side provenance legitimately differs between runs (which
+    # worker ran a spec, the lease shape); the verdict must not.
     data.pop("host_context")
     return data
 
@@ -424,66 +422,6 @@ class TestCliStaleLog:
         assert CampaignLog.load(prev).records[0].halt_reason == "stale-previous-run"
 
 
-def _stub_run_shard_payload(shard):
-    """Worker stub: relay a minimal record per spec, skip the simulator.
-
-    Exercises the real shard wire format (indices into the regenerated
-    spec table, sparse records on the relay) while keeping a round big
-    enough to overflow the relay pipe cheap.  Installed over the real
-    entry point via monkeypatch + the fork start method (workers
-    inherit the patch).
-    """
-    from repro.fault import executor as executor_mod
-    from repro.fault import wire
-
-    shard_no, indices = shard
-    executor_mod._RELAY.put(("shard", shard_no))
-    for index in indices:
-        spec = executor_mod._SPEC_TABLE[index]
-        record = TestRecord(
-            test_id=spec.test_id,
-            function=spec.function,
-            category=spec.category,
-            kernel_version="3.4.0",
-            frames=2,
-        )
-        executor_mod._RELAY.put(("record", wire.encode_record(record)))
-    return len(indices)
-
-
-class TestRelayDrain:
-    """Relayed records must be consumed while the round runs."""
-
-    def test_large_round_does_not_fill_the_relay_pipe(self, monkeypatch):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("needs the fork start method to stub the worker")
-        import repro.fault.executor as executor_mod
-
-        # The pool round imports the payload from the executor when it
-        # starts, so patching the executor module reaches it.
-        monkeypatch.setattr(
-            executor_mod, "run_shard_payload", _stub_run_shard_payload
-        )
-        campaign = Campaign(warm_boot=False)
-        specs = list(campaign.iter_specs())
-
-        # The full default campaign streams a few hundred KB of records
-        # over the ~64KB relay pipe, so every worker blocks in put() if
-        # the parent only drains at round end.  Fail loudly instead of
-        # hanging the suite if that regresses.
-        def overdue(signum, frame):  # noqa: ANN001 - signal handler
-            raise AssertionError("parallel round deadlocked on the relay")
-
-        previous = signal.signal(signal.SIGALRM, overdue)
-        signal.alarm(120)
-        try:
-            records = campaign._run_parallel(specs, 2, None, None, None)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert [r.test_id for r in records] == [s.test_id for s in specs]
-
-
 class TestKillResumeRerun:
     """The acceptance cycle: kill, interrupt, resume — nothing lost."""
 
@@ -626,6 +564,60 @@ class TestStatsTrailer:
 
         result = Campaign(functions=("XM_reset_system",)).run()
         assert "Reset modes" in campaign_summary(result)
+
+    def test_process_pool_trailer_loads_merges_and_reports(self, tmp_path):
+        """Logs written by the former process-pool runner carry its
+        ``pool_respawns``/``probe_respawns`` counters in the trailer:
+        they still load, fold into a resumed run and reach the report."""
+        from repro.fault.report import campaign_summary
+        from repro.fault.testlog import STATS_KEY
+
+        campaign = Campaign(functions=("XM_reset_system",))
+        records = campaign.run().log.records
+        pool_stats = {
+            "pool_respawns": 1,
+            "probe_respawns": 2,
+            "retries": 1,
+            "degraded_serial": False,
+            "quarantined_skips": 0,
+            "reset_modes": {"delta": 2},
+        }
+        path = tmp_path / "pool.jsonl"
+        lines = [json.dumps(record.to_dict()) for record in records[:2]]
+        lines.append(json.dumps({STATS_KEY: pool_stats}))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        partial = CampaignLog.load(path)
+        assert partial.execution_stats == pool_stats
+        resumed = campaign.run(resume_from=partial, log_path=path)
+        stats = resumed.execution_stats
+        assert (stats["pool_respawns"], stats["probe_respawns"]) == (1, 2)
+        assert stats["retries"] == 1
+        assert "1 main, 2 probe" in campaign_summary(resumed)
+        offline = campaign.analyse(CampaignLog.load(path))
+        assert campaign_summary(offline) == campaign_summary(resumed)
+
+
+class TestStaleLogRefused:
+    """A run without resume must not stream into a log holding records.
+
+    The stream skips appends whose test id is already on disk, so the
+    old records would silently survive under the new run's trailer.
+    """
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_fresh_run_into_existing_log_raises(self, tmp_path, processes):
+        import re
+
+        path = tmp_path / "reset.jsonl"
+        Campaign(functions=("XM_reset_system",)).run(log_path=path)
+        before = path.read_bytes()
+        fixed = Campaign(
+            functions=("XM_reset_system",), kernel_version=FIXED_VERSION
+        )
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fixed.run(processes=processes, log_path=path)
+        assert path.read_bytes() == before
 
 
 class TestWarningDedup:

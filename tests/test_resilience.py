@@ -390,53 +390,51 @@ class TestKillerSuiteRegression:
 
 @needs_fork
 class TestRespawnBudgetDegrade:
-    def test_unproductive_respawns_degrade_to_serial(self, monkeypatch):
-        # A pool that keeps breaking without delivering anything must
-        # not respawn forever: after the breaker's limit the campaign
-        # finishes on the serial in-process runner.
+    def test_unproductive_respawns_degrade_to_serial(self, tmp_path, monkeypatch):
+        # Workers that keep dying without delivering anything must not
+        # be respawned forever: after the breaker's limit the campaign
+        # finishes on the serial in-process runner.  The first worker
+        # dies on its first lease (so it does not look like a worker
+        # that cannot start); every respawn dies before it connects.
+        # Workers are forked, so they inherit both patches.
+        import repro.fabric.coordinator as coordinator_mod
+        from repro.fabric.worker import WorkerAgent, run_worker
+
         campaign = Campaign(functions=SUITE)
         specs = list(campaign.iter_specs())
-        calls = {"rounds": 0}
+        spawns = tmp_path / "spawns"
 
-        def dying_pool_round(
-            specs_in, processes, shard_size, timeout_s, deliver, stats=None
-        ):
-            calls["rounds"] += 1
-            if calls["rounds"] == 1:
-                # Announce one suspectless delivery so the first round
-                # does not look like an initializer failure.
-                record = TestRecord(
-                    test_id=specs_in[0].test_id,
-                    function=specs_in[0].function,
-                    category=specs_in[0].category,
-                    arg_labels=specs_in[0].arg_labels(),
-                    kernel_version=campaign.kernel_version,
-                    frames=campaign.frames,
-                )
-                deliver(record)
-                return {record.test_id}, set(), [], True
-            return set(), set(), [], True
+        async def die_on_lease(self, *lease):
+            os._exit(17)
 
-        monkeypatch.setattr(campaign, "_pool_round", dying_pool_round)
+        def flaky_worker(**kwargs):
+            with spawns.open("a") as fh:
+                fh.write("spawn\n")
+            if len(spawns.read_text().splitlines()) > 1:
+                os._exit(17)
+            run_worker(**kwargs)
+
+        monkeypatch.setattr(WorkerAgent, "_execute_lease", die_on_lease)
+        monkeypatch.setattr(coordinator_mod, "run_worker", flaky_worker)
         with pytest.warns(UserWarning, match="respawn budget exhausted"):
-            result = campaign.run(processes=2)
+            result = campaign.run(processes=1)
         assert len(result.log) == len(specs)
         stats = result.execution_stats
         assert stats["degraded_serial"]
         assert stats["pool_respawns"] == RespawnBreaker().limit
-        # Rounds: 1 fake delivery + exactly `limit` unproductive
+        # Spawns: the first worker + exactly `limit` unproductive
         # respawns; the breaker stops the thrash there.
-        assert calls["rounds"] == 1 + RespawnBreaker().limit
+        assert len(spawns.read_text().splitlines()) == 1 + RespawnBreaker().limit
 
     def test_initializer_failure_still_raises(self, monkeypatch):
+        from repro.fabric.worker import WorkerAgent
+
         campaign = Campaign(functions=SUITE)
 
-        def never_starts(
-            specs_in, processes, shard_size, timeout_s, deliver, stats=None
-        ):
-            return set(), set(), [], True
+        def never_starts(self, config_dict):
+            raise RuntimeError("worker set-up failed")
 
-        monkeypatch.setattr(campaign, "_pool_round", never_starts)
+        monkeypatch.setattr(WorkerAgent, "_build_state", never_starts)
         with pytest.raises(RuntimeError, match="before any test started"):
             campaign.run(processes=2)
 
@@ -456,25 +454,25 @@ class TestHardenedCallbacks:
         assert len(result.log) == campaign.total_tests()
         assert calls["n"] == len(result.log)  # hook kept being called
 
-    def test_raising_sink_warns_once_and_campaign_survives(self, tmp_path):
-        # The streaming log is installed as the sink; break it behind
-        # the campaign's back after the first record.
+    def test_raising_sink_warns_once_and_campaign_survives(
+        self, tmp_path, monkeypatch
+    ):
+        # The streaming log is the checkpoint sink; break it behind the
+        # campaign's back after the first record.
         campaign = Campaign(functions=SUITE)
         path = tmp_path / "log.jsonl"
-        stream = CampaignLog.stream(path)
         seen = []
+        append = LogStream.append
 
-        def brittle_sink(record):
+        def brittle_append(stream, record):
             seen.append(record.test_id)
             if len(seen) > 1:
                 raise OSError("disk went away")
-            stream.append(record)
+            append(stream, record)
 
+        monkeypatch.setattr(LogStream, "append", brittle_append)
         with pytest.warns(UserWarning, match="sink callback raised"):
-            records = campaign._run_parallel(
-                list(campaign.iter_specs()), 2, None, brittle_sink, None
-            )
-        stream.close()
+            records = campaign.run(processes=2, log_path=path).log.records
         assert len(records) == campaign.total_tests()
         assert len(seen) == len(records)
 

@@ -165,6 +165,24 @@ class TestDiff:
             with pytest.raises(KeyError):
                 diff_campaigns(wh, "a", "nope")
 
+    def test_same_id_with_other_arguments_is_not_compared(self):
+        # Test ids are positional: a pairwise XM_set_timer suite reuses
+        # 16 of the cartesian suite's ids, 15 of them for other argument
+        # tuples.  Only the one true shared spec may be compared.
+        from repro.fault.combinator import PairwiseStrategy
+
+        scope = ("XM_set_timer",)
+        cartesian = Campaign(functions=scope).run()
+        pairwise = Campaign(functions=scope, strategy=PairwiseStrategy()).run()
+        with ResultsWarehouse() as wh:
+            wh.ingest(cartesian.log, campaign_id="cartesian")
+            wh.ingest(pairwise.log, campaign_id="pairwise")
+            diff = diff_campaigns(wh, "cartesian", "pairwise")
+        assert (diff.common, diff.mismatched) == (1, 15)
+        assert diff.changed == []
+        assert (diff.only_left, diff.only_right) == (16, 0)
+        assert "15 same id with different arguments" in diff.summary()
+
     def test_disjoint_specs_counted_not_drifted(self):
         with ResultsWarehouse() as wh:
             wh.ingest(CampaignLog([make_record("x")]), campaign_id="a")

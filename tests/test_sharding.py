@@ -1,11 +1,17 @@
-"""Sharded batch dispatch: wire codec, shard sizing, identity, supervision."""
+"""Sharded dispatch: wire codec, lease sizing, identity, supervision.
+
+``processes=N`` runs N loopback fabric workers; ``shard_size`` is the
+lease size.  Serial/parallel record identity across executors lives in
+``test_identity_matrix.py``.
+"""
 
 import multiprocessing
 
 import pytest
 
+from repro.fabric.coordinator import _lease_size
 from repro.fault import wire
-from repro.fault.campaign import Campaign, _auto_shard_size
+from repro.fault.campaign import Campaign
 from repro.fault.executor import KILL_SPEC_ENV
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.testlog import CampaignLog, Invocation, TestRecord
@@ -22,8 +28,8 @@ needs_fork = pytest.mark.skipif(
 def strip_wall_time(record):
     data = record.to_dict()
     data.pop("wall_time_s")
-    # Host-side provenance legitimately differs between runs (the pool
-    # shape depends on how many specs were left); the verdict must not.
+    # Host-side provenance legitimately differs between runs (which
+    # worker ran a spec, the lease shape); the verdict must not.
     data.pop("host_context")
     return data
 
@@ -92,41 +98,46 @@ class TestWireRecordCodec:
         assert sparse < full
 
 
+def recipe_of(campaign, total=None):
+    return wire.SuiteRecipe(
+        model=campaign.model,
+        dictionaries=campaign.dictionaries,
+        strategy=campaign.strategy,
+        functions=campaign.functions,
+        total=campaign.total_tests() if total is None else total,
+    )
+
+
 class TestSpecTable:
     def test_table_matches_campaign_order(self):
         campaign = Campaign(functions=TRIO)
-        table = wire.build_spec_table(campaign._wire_recipe())
+        table = wire.build_spec_table(recipe_of(campaign))
         assert table == list(campaign.iter_specs())
 
     def test_total_mismatch_fails_loudly(self):
         campaign = Campaign(functions=TRIO)
-        recipe = campaign._wire_recipe()
-        bad = wire.SuiteRecipe(
-            model=recipe.model,
-            dictionaries=recipe.dictionaries,
-            strategy=recipe.strategy,
-            functions=recipe.functions,
-            total=recipe.total + 1,
-        )
+        bad = recipe_of(campaign, total=campaign.total_tests() + 1)
         with pytest.raises(RuntimeError, match="spec table mismatch"):
             wire.build_spec_table(bad)
 
 
 class TestAutoShardSize:
+    """The default lease size (``shard_size=None``)."""
+
     def test_amortises_dispatch_on_large_campaigns(self):
-        # 2864 specs, 4 workers: shards of 16+ with ~8 per worker.
-        assert _auto_shard_size(2864, 4) == 2864 // 32
+        # 2864 specs, 4 workers: leases of 16+ with ~8 per worker.
+        assert _lease_size(2864, 4) == 2864 // 32
 
     def test_floor_of_sixteen(self):
-        assert _auto_shard_size(200, 4) == 16
+        assert _lease_size(200, 4) == 16
 
     def test_small_campaign_still_uses_every_worker(self):
-        # 8 specs across 4 workers must not end up in one 16-spec shard.
-        assert _auto_shard_size(8, 4) == 2
+        # 8 specs across 4 workers must not end up in one 16-spec lease.
+        assert _lease_size(8, 4) == 2
 
     def test_degenerate_sizes(self):
-        assert _auto_shard_size(0, 4) == 1
-        assert _auto_shard_size(1, 1) == 1
+        assert _lease_size(0, 4) == 1
+        assert _lease_size(1, 1) == 1
 
 
 class TestShardSizeValidation:
@@ -137,7 +148,7 @@ class TestShardSizeValidation:
 
 @needs_fork
 class TestShardIdentity:
-    """Serial, per-spec and sharded dispatch must be indistinguishable."""
+    """Per-spec and oversized leases must be indistinguishable from serial."""
 
     @pytest.fixture(scope="class")
     def campaign(self):
@@ -147,12 +158,6 @@ class TestShardIdentity:
     def serial(self, campaign):
         return campaign.run()
 
-    def test_sharded_equals_serial(self, campaign, serial):
-        sharded = campaign.run(processes=2)
-        assert [strip_wall_time(r) for r in sharded.log] == [
-            strip_wall_time(r) for r in serial.log
-        ]
-
     def test_shard_size_one_equals_auto(self, campaign, serial):
         per_spec = campaign.run(processes=2, shard_size=1)
         assert [strip_wall_time(r) for r in per_spec.log] == [
@@ -160,8 +165,8 @@ class TestShardIdentity:
         ]
 
     def test_oversized_shard_equals_serial(self, campaign, serial):
-        # One shard bigger than the whole campaign: a single worker runs
-        # everything in one batch.
+        # One lease bigger than the whole campaign: one worker is granted
+        # everything, the other can only steal from it.
         giant = campaign.run(processes=2, shard_size=1000)
         assert [strip_wall_time(r) for r in giant.log] == [
             strip_wall_time(r) for r in serial.log

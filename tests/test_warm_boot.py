@@ -303,12 +303,6 @@ class TestSerialParallelResumeIdentity:
     def serial(self):
         return Campaign(functions=self.SCOPE).run()
 
-    def test_parallel_matches_serial(self, serial):
-        parallel = Campaign(functions=self.SCOPE).run(processes=2)
-        assert [record_key(r) for r in parallel.log] == [
-            record_key(r) for r in serial.log
-        ]
-
     def test_interrupted_then_resumed_matches_serial(self, serial):
         from repro.fault.testlog import CampaignLog
 
