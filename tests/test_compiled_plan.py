@@ -185,6 +185,11 @@ class TestSerialIdentity:
 
 @needs_fork
 class TestParallelIdentity:
+    def test_sharded_compiled_equals_serial_unplanned(self):
+        serial = Campaign(functions=TRIO, compiled_plan=False).run()
+        sharded = Campaign(functions=TRIO).run(processes=2)
+        assert stream(sharded) == stream(serial)
+
     def test_kill_and_resume_equals_uninterrupted(self, tmp_path, monkeypatch):
         baseline = Campaign(functions=TRIO).run()
         victim = list(Campaign(functions=TRIO).iter_specs())[10]

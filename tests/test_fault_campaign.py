@@ -164,6 +164,18 @@ class TestFixedKernelCampaign:
         assert not result.failures()
 
 
+class TestParallelExecution:
+    def test_parallel_matches_serial(self):
+        campaign = Campaign(functions=("XM_reset_system",))
+        serial = campaign.run()
+        parallel = campaign.run(processes=2)
+        assert serial.total_tests == parallel.total_tests
+        s = {(r.test_id, r.first_rc, r.never_returned) for r in serial.log}
+        p = {(r.test_id, r.first_rc, r.never_returned) for r in parallel.log}
+        assert s == p
+        assert parallel.issue_count() == serial.issue_count() == 3
+
+
 class TestAlternativeStrategies:
     def test_pairwise_campaign_runs(self):
         campaign = Campaign(

@@ -1,7 +1,7 @@
 """Sharded dispatch: wire codec, lease sizing, identity, supervision.
 
 ``processes=N`` runs N loopback fabric workers; ``shard_size`` is the
-lease size.  Serial/parallel record identity across executors lives in
+lease size.  The full executor-by-interruption identity matrix lives in
 ``test_identity_matrix.py``.
 """
 
@@ -148,7 +148,7 @@ class TestShardSizeValidation:
 
 @needs_fork
 class TestShardIdentity:
-    """Per-spec and oversized leases must be indistinguishable from serial."""
+    """Default, per-spec and oversized leases must all equal serial."""
 
     @pytest.fixture(scope="class")
     def campaign(self):
@@ -157,6 +157,12 @@ class TestShardIdentity:
     @pytest.fixture(scope="class")
     def serial(self, campaign):
         return campaign.run()
+
+    def test_sharded_equals_serial(self, campaign, serial):
+        sharded = campaign.run(processes=2)
+        assert [strip_wall_time(r) for r in sharded.log] == [
+            strip_wall_time(r) for r in serial.log
+        ]
 
     def test_shard_size_one_equals_auto(self, campaign, serial):
         per_spec = campaign.run(processes=2, shard_size=1)

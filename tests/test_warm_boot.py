@@ -303,6 +303,17 @@ class TestSerialParallelResumeIdentity:
     def serial(self):
         return Campaign(functions=self.SCOPE).run()
 
+    def test_parallel_matches_serial(self, serial):
+        def verdict(record):
+            # Parallel records carry host-side provenance (which worker
+            # ran the spec); serial ones do not.  The verdict must match.
+            data = record_key(record)
+            data.pop("host_context")
+            return data
+
+        parallel = Campaign(functions=self.SCOPE).run(processes=2)
+        assert [verdict(r) for r in parallel.log] == [verdict(r) for r in serial.log]
+
     def test_interrupted_then_resumed_matches_serial(self, serial):
         from repro.fault.testlog import CampaignLog
 
