@@ -773,6 +773,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _call(entry) -> str:  # noqa: ANN001 - results.DriftEntry
+    """``function(arg, ...)``: a drift entry's spec as the call it made."""
+    return f"{entry.function}({', '.join(entry.arg_labels)})"
+
+
 def _cmd_results(args: argparse.Namespace) -> int:
     from repro.results import ResultsWarehouse, diff_campaigns, drift_audit, flaky_specs
 
@@ -834,7 +839,7 @@ def _cmd_results(args: argparse.Namespace) -> int:
             print(f"{len(drifted)} spec(s) with verdict drift")
             for entry in drifted:
                 print(
-                    f"  {entry.test_id}  {entry.function}: "
+                    f"  {entry.test_id}  {_call(entry)}: "
                     f"{' -> '.join(entry.verdicts)} "
                     f"(churn {entry.transitions}, score {entry.flaky_score:.2f})"
                 )
@@ -845,7 +850,7 @@ def _cmd_results(args: argparse.Namespace) -> int:
                 print(f"{len(flaky)} stable-verdict spec(s) under arbitration pressure")
                 for entry in flaky:
                     print(
-                        f"  {entry.test_id}  {entry.function}: "
+                        f"  {entry.test_id}  {_call(entry)}: "
                         f"score {entry.flaky_score:.2f} "
                         f"({entry.arbitrated_runs} arbitrated run(s))"
                     )

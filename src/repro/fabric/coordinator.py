@@ -385,6 +385,11 @@ class FabricCoordinator:
 
     async def _on_records(self, worker: _Worker, frame: dict) -> None:
         """One batch of relayed records from a worker."""
+        if self.done.is_set():
+            # Over (finished, failed or degraded): a batch still in
+            # flight from another worker must not reach the checkpoint
+            # after the campaign's failure was captured.
+            return
         loop = asyncio.get_running_loop()
         lease = self.leases.get(frame.get("lease"))
         requeued = False
@@ -457,8 +462,8 @@ class FabricCoordinator:
             if worker.lease is not None
             else None
         )
-        if lease is None:
-            return
+        if lease is None or self.done.is_set():
+            return  # once the campaign is over, a hang-up is not a death
         session = self.session
         remaining = [i for i in lease.remaining if i in self.unresolved]
         if lease.probe:
@@ -564,8 +569,9 @@ def coordinate(
     are record-for-record interchangeable.  ``shard_size`` is the lease
     size (default: auto sized).
 
-    Local workers are forked and handed the suite recipe, so they run
-    any campaign with the default testbed.  With ``workers=0`` the
+    Local workers are forked and handed the suite recipe and the
+    campaign's compiled plan, so they run any campaign with the default
+    testbed and compile nothing.  With ``workers=0`` the
     coordinator only serves agents started elsewhere with ``repro
     fabric work``, which rebuild the suite from the JSON
     :class:`~repro.fabric.config.FabricConfig` (:class:`FabricError`
@@ -642,6 +648,9 @@ async def _execute(
         functions=campaign.functions,
         total=len(coordinator.spec_at),
     )
+    # Compiled once, here, before the fork: every worker (and every
+    # respawn) inherits it, and analyse reuses it.
+    plan = campaign.plan() if campaign.compiled_plan else None
 
     def spawn(slot: int):  # noqa: ANN202
         process = context.Process(
@@ -653,6 +662,7 @@ async def _execute(
                 "reconnect": True,
                 "heartbeat_s": heartbeat_s,
                 "recipe": recipe,
+                "plan": plan,
             },
             daemon=True,
         )

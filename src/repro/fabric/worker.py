@@ -17,7 +17,8 @@ frame's :class:`~repro.fabric.config.FabricConfig`, so a worker that
 reconnects — or a fresh worker replacing a dead one — rebuilds the
 identical state and any spec index means the same test.  A loopback
 worker forked by the coordinator is also handed the campaign's suite
-recipe, so it can run a campaign the JSON config cannot describe.
+recipe, so it can run a campaign the JSON config cannot describe, and
+the coordinator's compiled plan, so it compiles nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.fabric.config import PROTOCOL_VERSION, FabricConfig, FabricError
 from repro.fabric.frames import FrameError, encode_frame, read_frame
 from repro.fault import wire
 from repro.fault.executor import TestExecutor, _kill_injected
-from repro.fault.plan import group_consecutive
+from repro.fault.plan import CompiledPlan, group_consecutive
 from repro.fault.testlog import TestRecord
 
 #: Records per batch frame on the data plane.  One frame per record
@@ -65,6 +66,7 @@ class WorkerAgent:
         reconnect: bool = True,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         recipe: wire.SuiteRecipe | None = None,
+        plan: CompiledPlan | None = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -74,6 +76,9 @@ class WorkerAgent:
         #: Suite recipe handed over at spawn (loopback workers); None =
         #: rebuild it from the welcome frame's config.
         self.recipe = recipe
+        #: The coordinator's compiled plan over the recipe's spec table,
+        #: handed over at spawn (loopback workers); None = compile it.
+        self.plan = plan
         #: Lease number -> spec indices revoked (stolen) from that
         #: lease; read by the execution thread, written by the event
         #: loop's reader task.  Keyed by lease because a stolen index
@@ -242,7 +247,20 @@ class WorkerAgent:
             verify_plan=config.verify_plan,
             profile=config.profile,
         )
-        plan = executor.compile_suite(table) if config.compiled_plan else None
+        plan = None
+        if config.compiled_plan:
+            plan = self.plan
+            if plan is None:
+                plan = executor.compile_suite(table)
+            elif (plan.kernel_version, plan.frames, len(plan)) != (
+                config.kernel_version, config.frames, len(table),
+            ):
+                raise RuntimeError(
+                    f"handed-over plan ({plan.kernel_version}, {plan.frames} "
+                    f"frames, {len(plan)} entries) does not match the config "
+                    f"({config.kernel_version}, {config.frames} frames, "
+                    f"{len(table)} specs)"
+                )
         executor.prepare()
         self._state = (key, config, executor, table, plan)
         return self._state
@@ -394,6 +412,7 @@ def run_worker(
     reconnect: bool = True,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     recipe: wire.SuiteRecipe | None = None,
+    plan: CompiledPlan | None = None,
 ) -> None:
     """Module-level worker entry point (picklable for multiprocessing)."""
     from repro.fault import failpoints
@@ -406,4 +425,5 @@ def run_worker(
         reconnect=reconnect,
         heartbeat_s=heartbeat_s,
         recipe=recipe,
+        plan=plan,
     ).run()

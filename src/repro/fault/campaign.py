@@ -115,11 +115,14 @@ class CampaignResult:
         return len(self.issues)
 
 
-#: Process-level :class:`CompiledPlan` memo.  Compilation is pure in
-#: (specs, layout, kernel version, frames); keys carry the identity of
-#: the shared spec lists (themselves memoized in
-#: :func:`repro.fault.wire.generate_suites`), and each entry pins those
-#: lists alive so a recycled id() can never alias a different suite.
+#: Process-level :class:`CompiledPlan` memo, one compiled entry list
+#: per suite.  Entries are pure in (specs, layout): a campaign on
+#: another kernel version or frame count retargets the memoized plan
+#: (:meth:`CompiledPlan.retarget`) instead of compiling the same
+#: entries again.  Keys carry the identity of the shared spec lists
+#: (themselves memoized in :func:`repro.fault.wire.generate_suites`),
+#: and each entry pins those lists alive so a recycled id() can never
+#: alias a different suite.
 _PLAN_MEMO: dict[tuple, tuple] = {}
 _PLAN_MEMO_MAX = 8
 
@@ -241,20 +244,18 @@ class Campaign:
         """The compiled execution plan over all suites, cached.
 
         Compilation is pure in the campaign configuration (specs, test
-        partition layout, kernel version), so — like :meth:`suites` —
-        it runs once and is shared by the serial runner and
-        :meth:`analyse`.  Fabric workers compile their own copy from the
-        suite recipe (plans do not cross process boundaries; the spec
+        partition layout), so — like :meth:`suites` — it runs once and
+        is shared by the serial runner and :meth:`analyse`; a campaign
+        over the same suites on another kernel version or frame count
+        shares the compiled entries too.  Loopback fabric workers are
+        handed this plan when they are forked; remote ``repro fabric
+        work`` agents compile their own from the suite recipe (the spec
         tables they compile from are regenerated deterministically on
         both sides).
         """
         if self._plan is None:
             suites = self.suites()
-            key = (
-                tuple(id(suite.specs) for suite in suites),
-                self.kernel_version,
-                self.frames,
-            )
+            key = tuple(id(suite.specs) for suite in suites)
             hit = _PLAN_MEMO.get(key)
             if hit is None:
                 compiled = CompiledPlan(
@@ -268,7 +269,12 @@ class Campaign:
                 _PLAN_MEMO[key] = hit
                 while len(_PLAN_MEMO) > _PLAN_MEMO_MAX:
                     _PLAN_MEMO.pop(next(iter(_PLAN_MEMO)))
-            self._plan = hit[1]
+            compiled = hit[1]
+            if (compiled.kernel_version, compiled.frames) != (
+                self.kernel_version, self.frames,
+            ):
+                compiled = compiled.retarget(self.kernel_version, self.frames)
+            self._plan = compiled
         return self._plan
 
     def total_tests(self) -> int:

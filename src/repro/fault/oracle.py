@@ -146,7 +146,10 @@ class ReferenceOracle:
         (labels map one-to-one to test values), so the answer is cached
         per ``(function, arg_labels)``.
         """
-        key = (spec.function, spec.arg_labels())
+        return self._expect(spec, (spec.function, spec.arg_labels()))
+
+    def _expect(self, spec: TestCallSpec, key: tuple) -> Expectation:
+        """:meth:`expect` with the memo key ``(function, arg_labels)`` given."""
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -165,14 +168,12 @@ class ReferenceOracle:
     def expect_planned(self, entry) -> Expectation:  # noqa: ANN001 - plan.PlanEntry
         """Expectation for a compiled plan entry.
 
-        Identical to :meth:`expect` on ``entry.spec``, but probes the
+        Identical to :meth:`expect` on ``entry.spec``, but keys the
         memo with the label tuple the plan already computed instead of
-        rebuilding it per record — analysis touches this once per test.
+        rebuilding it per record (or per miss) — analysis touches this
+        once per test.
         """
-        cached = self._memo.get((entry.function, entry.arg_labels))
-        if cached is not None:
-            return cached
-        return self.expect(entry.spec)
+        return self._expect(entry.spec, (entry.function, entry.arg_labels))
 
     # -- System Management ----------------------------------------------------------
 

@@ -26,6 +26,7 @@ asserts record-for-record identity between the two.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Sequence
 
 from repro.fault.mutant import TestCallSpec, TestPartitionLayout
@@ -140,6 +141,19 @@ class CompiledPlan:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def retarget(self, kernel_version: str, frames: int) -> "CompiledPlan":
+        """This plan for another kernel version and frame count.
+
+        A :class:`PlanEntry` depends only on its spec, the layout and
+        the version-independent type registry, so the new plan shares
+        this one's ``entries``, ``by_id`` and ``groups`` and compiles
+        nothing.
+        """
+        plan = copy.copy(self)
+        plan.kernel_version = kernel_version
+        plan.frames = frames
+        return plan
 
     def entry_for(self, spec: TestCallSpec) -> PlanEntry | None:
         """The compiled entry for ``spec``, or None if outside the plan."""

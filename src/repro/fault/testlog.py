@@ -110,27 +110,34 @@ def shared_state(key: tuple) -> dict:
     return state
 
 
-def intern_state(state: object) -> object:
-    """The shared copy of a decoded state vector, else ``state`` itself.
+def _state_key(state: object) -> tuple | None:
+    """The :func:`shared_state` key of an internable state, else None.
 
     Only a dict with exactly :data:`STATE_FIELDS`, in that order, and
-    plain ``int`` values is interned, so the shared copy encodes to the
+    plain ``int`` values has a key, so the shared copy encodes to the
     same bytes (``True == 1`` and ``1.0 == 1`` would otherwise alias).
     """
     if type(state) is not dict or tuple(state) != STATE_FIELDS:
-        return state
+        return None
     hm_len, hm_cursor, hm_unread, lens, cursors, tm_message = state.values()
     if type(lens) is not dict or type(cursors) is not dict:
-        return state
+        return None
     if {
         type(hm_len), type(hm_cursor), type(hm_unread), type(tm_message),
         *map(type, lens.values()), *map(type, cursors.values()),
     } != _INT_ONLY:
-        return state
-    return shared_state(
-        (hm_len, hm_cursor, hm_unread, tuple(lens.items()),
-         tuple(cursors.items()), tm_message)
-    )
+        return None
+    return (hm_len, hm_cursor, hm_unread, tuple(lens.items()),
+            tuple(cursors.items()), tm_message)
+
+
+def intern_state(state: object) -> object:
+    """The shared copy of a decoded state vector, else ``state`` itself.
+
+    Only a state with a :func:`_state_key` is interned.
+    """
+    key = _state_key(state)
+    return state if key is None else shared_state(key)
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,51 @@ class Invocation:
     rc: int | None = None
     note: str = ""
     state: dict | None = None
+
+
+#: Shared invocations: one frozen :class:`Invocation` per distinct
+#: outcome.  The two Table III logs hold 20,594 invocations over 417
+#: distinct ``(returned, rc, note, state)`` values, so decode hands out
+#: the shared object for an equal outcome instead of building its own.
+#: Keys carry the state's content key (see :func:`_state_key`), never
+#: its id(), so an evicted state can never alias a new one.  Bounded
+#: like the state memo: :data:`INVOCATION_MEMO_MAX`, oldest evicted
+#: first (an evicted invocation stays valid in every record holding it).
+_INVOCATIONS: dict[tuple, Invocation] = {}
+INVOCATION_MEMO_MAX = STATE_MEMO_MAX
+
+
+def shared_invocation(
+    returned: bool, rc: int | None, note: str, state: dict | None
+) -> Invocation:
+    """The one shared :class:`Invocation` for an outcome (built on first sight).
+
+    Shared only when ``returned`` is a ``bool``, ``rc`` is ``None`` or
+    an ``int``, ``note`` is a ``str`` and ``state`` is ``None`` or
+    internable (its shared copy is used, see :func:`intern_state`).
+    Anything else gets an invocation of its own, so ``1``, ``1.0`` and
+    ``true`` never alias and a shared invocation re-encodes to the same
+    bytes.
+    """
+    state_key = None if state is None else _state_key(state)
+    if (
+        type(returned) is not bool
+        or type(note) is not str
+        or (rc is not None and type(rc) is not int)
+        or (state_key is None and state is not None)
+    ):
+        if state_key is not None:
+            state = shared_state(state_key)
+        return Invocation(returned, rc, note, state)
+    key = (returned, rc, note, state_key)
+    invocation = _INVOCATIONS.get(key)
+    if invocation is None:
+        while len(_INVOCATIONS) >= INVOCATION_MEMO_MAX:
+            _INVOCATIONS.pop(next(iter(_INVOCATIONS)), None)
+        invocation = _INVOCATIONS[key] = Invocation(
+            returned, rc, note, None if state_key is None else shared_state(state_key)
+        )
+    return invocation
 
 
 @dataclass

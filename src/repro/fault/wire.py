@@ -39,7 +39,12 @@ from repro.fault.combinator import GenerationStrategy
 from repro.fault.dictionaries import DictionarySet
 from repro.fault.matrix import build_matrix
 from repro.fault.mutant import ArgSpec, TestCallSpec, dataset_to_spec
-from repro.fault.testlog import Invocation, TestRecord, intern_state
+from repro.fault.testlog import (
+    Invocation,
+    TestRecord,
+    intern_state,
+    shared_invocation,
+)
 
 # -- spec codec --------------------------------------------------------------
 
@@ -165,9 +170,12 @@ def record_from_dict(data: dict) -> TestRecord:
     analysers keep working on forward-compatible logs; missing keys
     (the compact relay form) take the dataclass defaults.  Under an
     active :func:`dedup_unknown_fields` context the per-record warning
-    is replaced by one aggregate warning per distinct field set.  Each
-    invocation gets the shared copy of its state vector (see
-    :func:`~repro.fault.testlog.intern_state`).
+    is replaced by one aggregate warning per distinct field set.  An
+    invocation with exactly the four invocation keys is the shared
+    object for its outcome (see
+    :func:`~repro.fault.testlog.shared_invocation`); one of another
+    shape is built field by field, with the shared copy of its state
+    vector (see :func:`~repro.fault.testlog.intern_state`).
     """
     known = _RECORD_FIELDS
     if not known.issuperset(data):
@@ -190,6 +198,14 @@ def record_from_dict(data: dict) -> TestRecord:
     inv_known = _INVOCATION_FIELDS
     invocations = []
     for inv in data.get("invocations", []):
+        if inv.keys() == inv_known:
+            invocations.append(
+                shared_invocation(
+                    inv["returned"], inv["rc"], inv["note"], inv["state"]
+                )
+            )
+            continue
+        # Another shape (extra or missing keys): field by field.
         kwargs = {k: v for k, v in inv.items() if k in inv_known}
         if "state" in kwargs:
             kwargs["state"] = intern_state(kwargs["state"])

@@ -90,6 +90,7 @@ def dashboard_data(
     flaky = flaky_specs(warehouse, top=top_flaky)
     entry = lambda e: {  # noqa: E731 - tiny row shaper used twice
         "test_id": e.test_id,
+        "arg_labels": list(e.arg_labels),
         "function": e.function,
         "category": e.category,
         "runs": e.runs,
@@ -139,7 +140,8 @@ def _drift_table(entries: list[dict], caption: str) -> str:
         rows.append(
             "<tr>"
             f'<td>{html.escape(e["test_id"])}</td>'
-            f'<td>{html.escape(e["function"])}</td>'
+            f'<td>{html.escape(e["function"])}'
+            f'({html.escape(", ".join(e["arg_labels"]))})</td>'
             f'<td>{chip}</td>'
             f'<td>{html.escape(" → ".join(e["verdicts"]))}</td>'
             f'<td class="num">{e["runs"]}</td>'
@@ -149,7 +151,7 @@ def _drift_table(entries: list[dict], caption: str) -> str:
             "</tr>"
         )
     return (
-        "<table><thead><tr><th>Spec</th><th>Hypercall</th><th>State</th>"
+        "<table><thead><tr><th>Spec</th><th>Call</th><th>State</th>"
         '<th>Verdict history</th><th class="num">Runs</th>'
         '<th class="num">Churn</th><th class="num">Arbitrated</th>'
         '<th class="num">Score</th></tr></thead>'

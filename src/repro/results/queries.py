@@ -8,9 +8,10 @@ Three questions the flat report cannot answer:
   Test ids are positional (``function#index``), so a spec is the pair
   (test id, argument labels): rows sharing an id but not their
   arguments are counted apart, never compared.
-- **drift** — per spec, how its verdict churned across *all* runs of
-  the same suite: the verdict sequence in ingest order, the number of
-  transitions, and the distinct verdicts seen.
+- **drift** — per spec (test id and argument labels, as in the diff),
+  how its verdict churned across *all* runs of the same spec: the
+  verdict sequence in ingest order, the number of transitions, and the
+  distinct verdicts seen.
 - **flaky score** — a 0..1 ranking combining verdict instability with
   the arbitration pressure PR 4 records (a spec that needed
   retry-with-quorum runs is suspect even when its final verdicts
@@ -131,6 +132,9 @@ class DriftEntry:
     verdicts: tuple[str, ...]
     total_attempts: int
     arbitrated_runs: int
+    #: The spec's argument labels: one test id under other arguments
+    #: (another strategy or dictionary set) is another entry.
+    arg_labels: tuple[str, ...] = ()
 
     @property
     def transitions(self) -> int:
@@ -170,42 +174,47 @@ def drift_audit(
 ) -> list[DriftEntry]:
     """Per-spec verdict churn across runs of the same spec.
 
-    Campaigns are ordered by ingest (rowid) order — the warehouse is
-    append-only, so that is also run order.  By default only drifted
-    specs are returned (the audit's whole point); ``include_stable``
-    returns every spec, which feeds the flaky scoring.
+    A spec is the pair (test id, argument labels), as in
+    :func:`diff_campaigns`: test ids are positional, so the same id
+    under other arguments (another strategy) is another spec's history,
+    never drift.  Campaigns are ordered by ingest (rowid) order — the
+    warehouse is append-only, so that is also run order.  By default
+    only drifted specs are returned (the audit's whole point);
+    ``include_stable`` returns every spec, which feeds the flaky
+    scoring.
     """
     db = warehouse.connection
     if campaign_ids is None:
         campaign_ids = [c.campaign_id for c in warehouse.campaigns()]
     order = {cid: i for i, cid in enumerate(campaign_ids)}
-    history: dict[str, list[tuple[int, str, str, str, str, int, int]]] = {}
+    history: dict[tuple[str, str], list[tuple[int, str, str, str, int, int]]] = {}
     marks = ", ".join("?" * len(campaign_ids)) or "''"
     for row in db.execute(
-        "SELECT test_id, function, category, campaign_id, verdict,"
-        " attempts, arbitrated FROM results"
+        "SELECT test_id, arg_labels, function, category, campaign_id,"
+        " verdict, attempts, arbitrated FROM results"
         f" WHERE campaign_id IN ({marks})",
         campaign_ids,
     ):
-        test_id, function, category, cid, verdict, attempts, arbitrated = row
-        history.setdefault(test_id, []).append(
-            (order[cid], function, category, cid, verdict, attempts, arbitrated)
+        test_id, labels, function, category, cid, verdict, attempts, arbitrated = row
+        history.setdefault((test_id, labels), []).append(
+            (order[cid], function, category, verdict, attempts, arbitrated)
         )
     entries = []
-    for test_id, runs in sorted(history.items()):
+    for (test_id, labels), runs in sorted(history.items()):
         runs.sort(key=lambda r: r[0])
         entry = DriftEntry(
             test_id=test_id,
             function=runs[0][1],
             category=runs[0][2],
             runs=len(runs),
-            verdicts=tuple(r[4] for r in runs),
-            total_attempts=sum(r[5] for r in runs),
-            arbitrated_runs=sum(1 for r in runs if r[6]),
+            verdicts=tuple(r[3] for r in runs),
+            total_attempts=sum(r[4] for r in runs),
+            arbitrated_runs=sum(1 for r in runs if r[5]),
+            arg_labels=tuple(labels.split(" ")) if labels else (),
         )
         if include_stable or entry.drifted:
             entries.append(entry)
-    entries.sort(key=lambda e: (-e.flaky_score, e.test_id))
+    entries.sort(key=lambda e: (-e.flaky_score, e.test_id, e.arg_labels))
     return entries
 
 

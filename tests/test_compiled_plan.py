@@ -129,9 +129,11 @@ class TestPlanConstruction:
         a = Campaign(functions=("XM_halt_partition",))
         b = Campaign(functions=("XM_halt_partition",))
         assert a.plan() is b.plan()
-        # A different configuration compiles its own plan.
+        # Another frame count gets its own plan over the same entries.
         c = Campaign(functions=("XM_halt_partition",), frames=3)
         assert c.plan() is not a.plan()
+        assert c.plan().frames == 3
+        assert c.plan().entries is a.plan().entries
 
 
 # -- oracle consistency ------------------------------------------------------
@@ -145,6 +147,22 @@ class TestPlannedOracle:
         oracle = ReferenceOracle(campaign.kernel_version, campaign.oracle_context)
         for entry in campaign.plan().entries:
             assert oracle.expect_planned(entry) == oracle.expect(entry.spec)
+
+    def test_expect_planned_reuses_the_entry_labels(self, monkeypatch):
+        from repro.fault.oracle import ReferenceOracle
+
+        campaign = Campaign(functions=TRIO)
+        entries = campaign.plan().entries
+        expected = [
+            ReferenceOracle(campaign.kernel_version).expect(e.spec) for e in entries
+        ]
+
+        def rebuilt(_spec):
+            raise AssertionError("labels rebuilt from the spec")
+
+        monkeypatch.setattr(TestCallSpec, "arg_labels", rebuilt)
+        oracle = ReferenceOracle(campaign.kernel_version)  # every entry misses once
+        assert [oracle.expect_planned(e) for e in entries] == expected
 
 
 # -- planned == unplanned identity -------------------------------------------

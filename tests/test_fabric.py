@@ -25,6 +25,7 @@ from repro.fault import wire
 from repro.fault.campaign import Campaign
 from repro.fault.executor import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV, TestExecutor
 from repro.fault.mutant import ArgSpec, TestCallSpec
+from repro.fault.plan import CompiledPlan
 from repro.fault.resilience import Quarantine, RetryPolicy
 from repro.fault.testlog import CampaignLog, Invocation, TestRecord
 
@@ -265,6 +266,108 @@ class TestFabricIdentity:
         assert [strip_transient(r) for r in result.log] == [
             strip_transient(r) for r in serial.log
         ]
+
+
+class TestPlanHandover:
+    """Loopback workers run the coordinator's compiled plan."""
+
+    @staticmethod
+    def refuse_compiling(monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a plan was compiled")
+
+        monkeypatch.setattr(CompiledPlan, "__init__", refuse)
+
+    def test_handed_plan_compiles_nothing(self, monkeypatch):
+        campaign = Campaign(functions=TRIO)
+        plan = campaign.plan()
+        config = FabricConfig.from_campaign(campaign)
+        self.refuse_compiling(monkeypatch)
+        agent = WorkerAgent("127.0.0.1", 0, reconnect=False, plan=plan)
+        _key, _config, _executor, table, used = agent._build_state(config.to_dict())
+        assert used is plan
+        assert [entry.spec for entry in plan.entries] == table
+
+    def test_without_a_plan_the_worker_compiles_its_own(self, monkeypatch):
+        config = FabricConfig.from_campaign(Campaign(functions=TRIO))
+        self.refuse_compiling(monkeypatch)
+        agent = WorkerAgent("127.0.0.1", 0, reconnect=False)
+        with pytest.raises(AssertionError, match="compiled"):
+            agent._build_state(config.to_dict())
+
+    def test_plan_for_another_kernel_is_refused(self):
+        plan = Campaign(functions=TRIO, kernel_version="3.4.1").plan()
+        config = FabricConfig.from_campaign(Campaign(functions=TRIO))
+        agent = WorkerAgent("127.0.0.1", 0, reconnect=False, plan=plan)
+        with pytest.raises(RuntimeError, match="does not match"):
+            agent._build_state(config.to_dict())
+
+    @needs_fork
+    def test_loopback_workers_inherit_the_plan(self, monkeypatch):
+        # Compiled before the fork: a worker that compiled again would
+        # raise, die before its first lease and fail the campaign.
+        serial = Campaign(functions=TRIO).run()
+        campaign = Campaign(functions=TRIO)
+        campaign.plan()
+        self.refuse_compiling(monkeypatch)
+        result = coordinate(campaign, workers=2)
+        assert [strip_transient(r) for r in result.log] == [
+            strip_transient(r) for r in serial.log
+        ]
+
+
+class TestEndedCampaign:
+    def test_batch_after_a_captured_failure_is_not_checkpointed(self, tmp_path):
+        # A failure captured on one connection ends the campaign; a
+        # batch another worker still had in flight must not reach the
+        # checkpoint after it.
+        from repro.fabric.coordinator import FabricCoordinator, _Worker
+        from repro.fault.failpoints import ChaosError
+        from repro.fault.session import CampaignSession
+
+        campaign = Campaign(functions=("XM_reset_system",))
+        record = campaign.run().log.records[0]
+        path = tmp_path / "ended.jsonl"
+        with CampaignSession(campaign, log_path=path) as session:
+            coordinator = FabricCoordinator(
+                session, FabricConfig.from_campaign(campaign)
+            )
+            coordinator.failure = ChaosError("captured on another connection")
+            coordinator.done.set()
+            frame = {"type": "records", "lease": 1,
+                     "records": [wire.encode_record(record)]}
+            asyncio.run(
+                coordinator._on_records(_Worker("w", "h", None, 0.0, {}), frame)
+            )
+            assert session.records == []
+        assert len(CampaignLog.load(path)) == 0
+
+    def test_hang_up_after_the_end_is_not_a_death(self, tmp_path):
+        # Shutdown closes every connection; a worker still holding a
+        # probe lease then must not have its spec logged worker_killed.
+        from repro.fabric.coordinator import FabricCoordinator, _Lease, _Worker
+        from repro.fault.failpoints import ChaosError
+        from repro.fault.resilience import RetryPolicy
+        from repro.fault.session import CampaignSession
+
+        campaign = Campaign(functions=("XM_reset_system",))
+        path = tmp_path / "ended.jsonl"
+        with CampaignSession(
+            campaign, log_path=path, retry_policy=RetryPolicy(max_attempts=1, quorum=1)
+        ) as session:
+            coordinator = FabricCoordinator(
+                session, FabricConfig.from_campaign(campaign)
+            )
+            worker = _Worker("w", "h", None, 0.0, {})
+            worker.lease = 1
+            coordinator.workers["w"] = worker
+            coordinator.leases[1] = _Lease(1, "w", [0, 1], True, 0.0)
+            coordinator.failure = ChaosError("captured on another connection")
+            coordinator.done.set()
+            coordinator._on_worker_lost("w")
+            assert session.records == []
+            assert "w" not in coordinator.workers
+        assert len(CampaignLog.load(path)) == 0
 
 
 @needs_fork

@@ -17,6 +17,7 @@ from repro.fault.testlog import (
     Invocation,
     TestRecord,
     intern_state,
+    shared_invocation,
     shared_state,
 )
 from repro.xm.hm import HmEvent
@@ -69,9 +70,9 @@ states = st.one_of(
 )
 invocations = st.builds(
     Invocation,
-    # a foreign writer may log 0/1 or a float where bool/int belong
+    # a foreign writer may log 0/1 or a float or bool where bool/int belong
     returned=st.one_of(st.booleans(), st.integers(0, 1)),
-    rc=st.one_of(st.none(), ints, finite),
+    rc=st.one_of(st.none(), ints, finite, st.booleans()),
     note=text,
     state=states,
 )
@@ -102,6 +103,22 @@ records = st.builds(
     quarantined=st.booleans(),
     host_context=st.one_of(st.none(), st.dictionaries(text, json_value, max_size=3)),
 )
+
+
+def shareable(inv: Invocation) -> bool:
+    """Whether decode hands out the shared object for ``inv``'s outcome."""
+    return (
+        type(inv.returned) is bool
+        and (inv.rc is None or type(inv.rc) is int)
+        and type(inv.note) is str
+        and (inv.state is None or internable(inv.state))
+    )
+
+
+def internable(state: dict) -> bool:
+    """Whether ``state`` is internable (a copy of it comes back shared)."""
+    copy = dict(state)
+    return intern_state(copy) is not copy
 
 
 def saved(tmp_path, log: CampaignLog, name: str = "log.jsonl"):
@@ -176,8 +193,15 @@ class TestDecoderPaths:
     @given(st.lists(records, max_size=4))
     @settings(max_examples=100, deadline=None)
     def test_generated_records_round_trip(self, tmp_path_factory, generated):
-        path = saved(tmp_path_factory.mktemp("rt"), CampaignLog(generated))
-        assert CampaignLog.load(path).records == generated
+        tmp = tmp_path_factory.mktemp("rt")
+        path = saved(tmp, CampaignLog(generated))
+        loaded = CampaignLog.load(path)
+        assert loaded.records == generated
+        # Equal is not enough (True == 1 == 1.0): the bytes must survive.
+        assert saved(tmp, loaded, "again.jsonl").read_bytes() == path.read_bytes()
+        for inv in (inv for record in loaded for inv in record.invocations):
+            shared = shared_invocation(inv.returned, inv.rc, inv.note, inv.state)
+            assert (shared is inv) == shareable(inv)
 
     def test_full_and_missing_field_lines_agree(self, tmp_path):
         log = sample_log()
@@ -317,6 +341,125 @@ class TestStateInterning:
         # on any field that differs from the delta-reset record.
         verified = Campaign(functions=SCOPE, verify_reset=True).run().log
         assert [strip_wall(r) for r in verified] == [strip_wall(r) for r in plain]
+
+
+def outcome(inv: Invocation) -> str:
+    """An invocation's encoded outcome (equal only if the bytes are)."""
+    return json.dumps([inv.returned, inv.rc, inv.note, inv.state])
+
+
+class TestInvocationSharing:
+    def test_equal_invocations_are_one_object_within_a_load(self, tmp_path):
+        loaded = CampaignLog.load(saved(tmp_path, sample_log()))
+        invocations = [inv for record in loaded for inv in record.invocations]
+        outcomes = {outcome(inv) for inv in invocations}
+        assert len({id(inv) for inv in invocations}) == len(outcomes)
+        assert len(outcomes) < len(invocations)
+
+    def test_shared_across_loads_and_kernel_versions(self, tmp_path):
+        logs = {
+            version: saved(
+                tmp_path,
+                Campaign(functions=SCOPE, kernel_version=version).run().log,
+                f"{version}.jsonl",
+            )
+            for version in ("3.4.0", "3.4.1")
+        }
+        loads = [CampaignLog.load(path) for path in (*logs.values(), logs["3.4.0"])]
+        seen: dict[str, Invocation] = {}
+        for log in loads:
+            for inv in (inv for record in log for inv in record.invocations):
+                assert seen.setdefault(outcome(inv), inv) is inv
+        first, second, again = (
+            {id(inv) for record in log for inv in record.invocations}
+            for log in loads
+        )
+        assert first & second  # the two kernels share outcomes
+        assert first == again
+
+    def test_shared_invocation_state_is_the_shared_state(self):
+        key = (3, 1, 2, (("0", 1),), (("0", 0),), 0)
+        raw = json.loads(json.dumps(shared_state(key)))
+        inv = shared_invocation(True, 0, "", raw)
+        assert inv is shared_invocation(True, 0, "", dict(raw))
+        assert inv.state is shared_state(key)
+        assert shared_invocation(True, 0, "", None) is not inv
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda inv: inv.update(returned=1), id="returned-1"),
+            pytest.param(lambda inv: inv.update(rc=1.0), id="rc-1.0"),
+            pytest.param(lambda inv: inv.update(rc=True), id="rc-true"),
+            pytest.param(lambda inv: inv.update(future=1), id="extra-key"),
+            pytest.param(
+                lambda inv: inv["state"].update(tm_message=True),
+                id="non-internable-state",
+            ),
+        ],
+    )
+    def test_foreign_invocations_are_not_shared(self, tmp_path, edit):
+        state = {
+            "hm_len": 1, "hm_cursor": 0, "hm_unread": 1,
+            "trace_lens": {"0": 0}, "trace_cursors": {"0": 0}, "tm_message": 1,
+        }
+        plain = {"returned": True, "rc": 1, "note": "", "state": state}
+        foreign = json.loads(json.dumps(plain))
+        edit(foreign)
+        line = {**wire.record_to_dict(TestRecord("t#0", "XM_f", "c")),
+                "invocations": [foreign]}
+        path = tmp_path / "foreign.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        (inv,) = CampaignLog.load(path).records[0].invocations
+        shared = shared_invocation(True, 1, "", state)
+        assert inv is not shared
+        foreign.pop("future", None)  # an unknown key is dropped on decode
+        expected = json.dumps({**line, "invocations": [foreign]}) + "\n"
+        assert saved(tmp_path, CampaignLog.load(path), "again.jsonl").read_text(
+            encoding="utf-8"
+        ) == expected
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(testlog, "INVOCATION_MEMO_MAX", 8)
+        early = shared_invocation(True, -1, "early", None)
+        for index in range(20):
+            shared_invocation(True, index, "", None)
+        assert len(testlog._INVOCATIONS) <= 8
+        # An evicted invocation stays valid in the record holding it.
+        assert early == Invocation(True, -1, "early", None)
+        assert shared_invocation(True, -1, "early", None) is not early
+
+    def test_tiny_memo_during_a_load_changes_no_record(self, tmp_path, monkeypatch):
+        log = sample_log()
+        path = saved(tmp_path, log)
+        monkeypatch.setattr(testlog, "_INVOCATIONS", {})
+        monkeypatch.setattr(testlog, "INVOCATION_MEMO_MAX", 2)
+        loaded = CampaignLog.load(path)
+        assert len(testlog._INVOCATIONS) <= 2
+        assert loaded.records == log.records
+        assert saved(tmp_path, loaded, "again.jsonl").read_bytes() == path.read_bytes()
+
+
+class TestSharedPlan:
+    def test_kernel_versions_share_one_entry_list(self):
+        vulnerable = Campaign().plan()
+        fixed = Campaign(kernel_version="3.4.1").plan()
+        assert fixed.entries is vulnerable.entries
+        assert fixed.by_id is vulnerable.by_id
+        assert fixed.groups is vulnerable.groups
+        assert vulnerable.kernel_version == "3.4.0"
+        assert fixed.kernel_version == "3.4.1"
+
+    def test_analyse_with_a_shared_plan_is_unchanged(self, tmp_path):
+        Campaign(functions=SCOPE).plan()  # the 3.4.0 plan is compiled first
+        fixed = Campaign(functions=SCOPE, kernel_version="3.4.1")
+        log = CampaignLog.load(saved(tmp_path, fixed.run().log))
+        shared = fixed.analyse(log)
+        unplanned = Campaign(
+            functions=SCOPE, kernel_version="3.4.1", compiled_plan=False
+        ).analyse(log)
+        assert shared.classified == unplanned.classified
+        assert shared.issues == unplanned.issues
 
 
 def strip_wall(record: TestRecord) -> dict:

@@ -205,6 +205,38 @@ class TestDrift:
             assert entry.transitions >= 1
             assert entry.flaky_score > 0
 
+    def test_drift_entries_carry_their_arguments(self, reset_result, fixed_result):
+        labels = {r.test_id: r.arg_labels for r in reset_result.log}
+        with ResultsWarehouse() as wh:
+            wh.ingest(reset_result.log, campaign_id="vuln")
+            wh.ingest(fixed_result.log, campaign_id="fixed")
+            drifted = drift_audit(wh)
+        assert drifted
+        for entry in drifted:
+            assert entry.arg_labels == labels[entry.test_id]
+
+    def test_same_id_with_other_arguments_is_not_drift(self):
+        # Test ids are positional: a pairwise XM_set_timer suite reuses
+        # 16 of the cartesian suite's ids, 15 of them for other argument
+        # tuples.  Those are other specs' histories, not verdict drift.
+        from repro.fault.combinator import PairwiseStrategy
+
+        scope = ("XM_set_timer",)
+        cartesian = Campaign(functions=scope).run()
+        pairwise = Campaign(functions=scope, strategy=PairwiseStrategy()).run()
+        with ResultsWarehouse() as wh:
+            wh.ingest(cartesian.log, campaign_id="cartesian")
+            wh.ingest(pairwise.log, campaign_id="pairwise")
+            assert drift_audit(wh) == []
+            entries = drift_audit(wh, include_stable=True)
+        specs = {
+            (r.test_id, r.arg_labels) for log in (cartesian.log, pairwise.log)
+            for r in log
+        }
+        assert {(e.test_id, e.arg_labels) for e in entries} == specs
+        assert len(entries) == len(specs) == 47
+        assert [e.runs for e in entries].count(2) == 1  # the one true shared spec
+
     def test_identical_runs_show_no_drift(self, reset_result):
         with ResultsWarehouse() as wh:
             wh.ingest(reset_result.log, campaign_id="r1")
@@ -256,6 +288,7 @@ class TestDashboard:
             wh.ingest(fixed_result.log, campaign_id="fixed")
             page = render_html(export(wh))
         assert "drifted" in page
+        assert "XM_reset_system(" in page  # the drifted call, with its arguments
 
     def test_empty_warehouse_renders(self):
         with ResultsWarehouse() as wh:
