@@ -5,8 +5,11 @@ lists: return codes, exception handlers (here: HM events and simulator
 exceptions), partition and kernel statuses, and the fault monitor's
 actions.  A :class:`TestRecord` is the machine-readable unit; a
 :class:`CampaignLog` persists them as JSONL for later analysis.  The
-dict codec itself lives in :mod:`repro.fault.wire`, shared with the
-fabric's record relay so the two serialisation paths cannot drift.
+dict codec and the log-line decoder live in :mod:`repro.fault.wire`,
+shared with the fabric's record relay so the two serialisation paths
+cannot drift; the bounded memos that let decode share what repeats
+(state vectors, invocations, whole invocation arrays by their text)
+live here, and so does the one JSONL line reader of load and resume.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.fault import failpoints
 
@@ -167,17 +170,15 @@ _INVOCATIONS: dict[tuple, Invocation] = {}
 INVOCATION_MEMO_MAX = STATE_MEMO_MAX
 
 
-def shared_invocation(
-    returned: bool, rc: int | None, note: str, state: dict | None
-) -> Invocation:
-    """The one shared :class:`Invocation` for an outcome (built on first sight).
+def _shared_outcome(
+    returned: object, rc: object, note: object, state: object
+) -> Invocation | None:
+    """The shared invocation of a shareable outcome, else None.
 
-    Shared only when ``returned`` is a ``bool``, ``rc`` is ``None`` or
-    an ``int``, ``note`` is a ``str`` and ``state`` is ``None`` or
-    internable (its shared copy is used, see :func:`intern_state`).
-    Anything else gets an invocation of its own, so ``1``, ``1.0`` and
-    ``true`` never alias and a shared invocation re-encodes to the same
-    bytes.
+    Shareable means ``returned`` is a ``bool``, ``rc`` is ``None`` or an
+    ``int``, ``note`` is a ``str`` and ``state`` is ``None`` or
+    internable, so ``1``, ``1.0`` and ``true`` never alias and a shared
+    invocation re-encodes to the same bytes.
     """
     state_key = None if state is None else _state_key(state)
     if (
@@ -186,18 +187,98 @@ def shared_invocation(
         or (rc is not None and type(rc) is not int)
         or (state_key is None and state is not None)
     ):
-        if state_key is not None:
-            state = shared_state(state_key)
-        return Invocation(returned, rc, note, state)
+        return None
+    global _invocation_text_chars
     key = (returned, rc, note, state_key)
     invocation = _INVOCATIONS.get(key)
     if invocation is None:
-        while len(_INVOCATIONS) >= INVOCATION_MEMO_MAX:
-            _INVOCATIONS.pop(next(iter(_INVOCATIONS)), None)
+        if len(_INVOCATIONS) >= INVOCATION_MEMO_MAX:
+            # The text memo may hold what is evicted here; emptying it
+            # keeps its hits the objects shared_invocation hands out.
+            _INVOCATION_TEXTS.clear()
+            _invocation_text_chars = 0
+            while len(_INVOCATIONS) >= INVOCATION_MEMO_MAX:
+                _INVOCATIONS.pop(next(iter(_INVOCATIONS)), None)
         invocation = _INVOCATIONS[key] = Invocation(
             returned, rc, note, None if state_key is None else shared_state(state_key)
         )
     return invocation
+
+
+def shared_invocation(
+    returned: bool, rc: int | None, note: str, state: dict | None
+) -> Invocation:
+    """The one shared :class:`Invocation` for an outcome (built on first sight).
+
+    Only a shareable outcome (see :func:`_shared_outcome`) is shared;
+    anything else gets an invocation of its own, holding the shared
+    copy of its state when that is internable (see :func:`intern_state`).
+    """
+    invocation = _shared_outcome(returned, rc, note, state)
+    if invocation is None:
+        invocation = Invocation(returned, rc, note, intern_state(state))
+    return invocation
+
+
+#: Shared invocation lists, keyed by the exact JSON text of a log
+#: line's ``"invocations"`` array.  The two Table III logs hold 5,728
+#: records but only 30 distinct array texts (289 KB in all; one of them
+#: appears in 4,555 records), so log decode looks the text up here and
+#: neither parses nor keys an array it has seen (see
+#: :func:`repro.fault.wire.record_from_line`).  Only an array of
+#: shareable invocations with exactly the four invocation keys is
+#: remembered.  Bounded by count (:data:`INVOCATION_TEXT_MEMO_MAX`) and
+#: total text length (:data:`INVOCATION_TEXT_MEMO_CHARS`), oldest
+#: evicted first; a text longer than the length bound is decoded but
+#: never remembered.
+_INVOCATION_TEXTS: dict[str, tuple[Invocation, ...]] = {}
+INVOCATION_TEXT_MEMO_MAX = 1024
+INVOCATION_TEXT_MEMO_CHARS = 1 << 22
+#: Total length of the texts in :data:`_INVOCATION_TEXTS`.
+_invocation_text_chars = 0
+#: Field names of :class:`Invocation`, the keys of its dict form.
+INVOCATION_FIELDS = frozenset(f.name for f in fields(Invocation))
+
+
+def shared_invocations(text: str) -> tuple[Invocation, ...] | None:
+    """The shared invocations of a JSON invocations array, by its text.
+
+    None when ``text`` is not a JSON array whose every element has
+    exactly the four invocation keys and a shareable outcome; such an
+    array is decoded the ordinary way, record by record.
+    """
+    global _invocation_text_chars
+    invocations = _INVOCATION_TEXTS.get(text)
+    if invocations is not None:
+        return invocations
+    try:
+        items = json.loads(text)
+    except ValueError:
+        return None
+    if type(items) is not list:
+        return None
+    shared = []
+    for item in items:
+        if type(item) is not dict or item.keys() != INVOCATION_FIELDS:
+            return None
+        invocation = _shared_outcome(
+            item["returned"], item["rc"], item["note"], item["state"]
+        )
+        if invocation is None:
+            return None
+        shared.append(invocation)
+    invocations = tuple(shared)
+    if len(text) <= INVOCATION_TEXT_MEMO_CHARS:
+        while _INVOCATION_TEXTS and (
+            len(_INVOCATION_TEXTS) >= INVOCATION_TEXT_MEMO_MAX
+            or _invocation_text_chars + len(text) > INVOCATION_TEXT_MEMO_CHARS
+        ):
+            oldest = next(iter(_INVOCATION_TEXTS))
+            del _INVOCATION_TEXTS[oldest]
+            _invocation_text_chars -= len(oldest)
+        _INVOCATION_TEXTS[text] = invocations
+        _invocation_text_chars += len(text)
+    return invocations
 
 
 @dataclass
@@ -288,37 +369,47 @@ class TestRecord:
         return wire.record_from_dict(data)
 
 
-def _iter_jsonl(path: Path) -> Iterator[dict]:
-    """Parse a JSONL file line by line, tolerating a truncated final line.
+def _read_jsonl(
+    path: Path, decode: Callable[[str], object], truncate: bool = False
+) -> Iterator[object]:
+    """Decode a JSONL file line by line, tolerating a truncated final line.
 
     A crash mid-append can leave a half-written last record; readers
     drop it (with a warning) instead of refusing to load — resume must
     work in exactly the crash scenario the streaming log exists for,
-    and the stream's dedup-by-id append rewrites the lost record.
-    Corruption anywhere *before* the last line is still an error.
-    Each line is yielded as soon as it parses, so a caller that decodes
-    as it goes never holds every line's dict at once.
+    and the stream's dedup-by-id append rewrites the lost record.  With
+    ``truncate`` the dropped bytes are cut from the file too, so the
+    next append cannot concatenate onto them.  A line ``decode`` cannot
+    parse anywhere *before* the last line is still an error, and a line
+    it refuses (``ValueError``, e.g. not a JSON object) raises a
+    ``ValueError`` naming the file and line.  Each value is yielded as
+    soon as its line decodes, so no caller holds every line at once.
     """
     torn: json.JSONDecodeError | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
+    offset = cut = 0
+    with path.open("rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            start, offset = offset, offset + len(raw)
+            if raw.isspace():
                 continue
             if torn is not None:
                 raise torn  # a torn line with more lines after it
             try:
-                data = json.loads(line)
+                value = decode(raw.decode("utf-8"))
             except json.JSONDecodeError as exc:
-                torn = exc
+                torn, cut = exc, start
                 continue
-            yield data
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from exc
+            yield value
     if torn is not None:
         warnings.warn(
             f"{path}: dropping truncated final record "
             "(interrupted mid-append?)",
             stacklevel=3,
         )
+        if truncate:
+            os.truncate(path, cut)
 
 
 class CampaignLog:
@@ -374,24 +465,25 @@ class CampaignLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignLog":
-        """Read JSONL (a truncated final line is dropped, see _iter_jsonl).
+        """Read JSONL (a truncated final line is dropped, see _read_jsonl).
 
         Each line is decoded into its record as it is read (through
-        :func:`repro.fault.wire.record_from_dict`, the one record
-        decoder).  A stats trailer rehydrates ``execution_stats``; the
-        last one wins.  Unknown record fields from a newer writer warn
-        once per distinct field set, not once per record (see
+        :func:`repro.fault.wire.record_from_line`, which decodes an
+        invocations array it has seen before only once).  A stats
+        trailer rehydrates ``execution_stats``; the last one wins.
+        Unknown record fields from a newer writer warn once per distinct
+        field set, not once per record (see
         :func:`repro.fault.wire.dedup_unknown_fields`).
         """
         from repro.fault import wire
 
         log = cls()
         with wire.dedup_unknown_fields():
-            for data in _iter_jsonl(Path(path)):
-                if STATS_KEY in data:
-                    log.execution_stats = data[STATS_KEY]
-                    continue
-                log.append(wire.record_from_dict(data))
+            for item in _read_jsonl(Path(path), wire.record_from_line):
+                if type(item) is dict:
+                    log.execution_stats = item[STATS_KEY]
+                else:
+                    log.append(item)
         return log
 
     @classmethod
@@ -426,40 +518,24 @@ class LogStream:
         self.existing: set[str] = set()
         repair_newline = False
         if self.path.exists():
-            # Scan byte-wise so a half-written tail (a crash mid-append)
-            # can be truncated away — left in place, the next append
-            # would concatenate onto it and corrupt a mid-file line.
-            # Lines are read one at a time, so opening a stream on a
-            # large log never holds the whole file.
-            offset = 0
-            torn: json.JSONDecodeError | None = None
-            last_line = b""
+            from repro.fault import wire
+
+            # A half-written tail (a crash mid-append) is truncated
+            # away — left in place, the next append would concatenate
+            # onto it and corrupt a mid-file line.  Only the head of a
+            # line is decoded for its test id (see wire.split_line);
+            # stats trailers carry none and never dedup an append.
+            for test_id in _read_jsonl(
+                self.path,
+                lambda line: wire.split_line(line)[0].get("test_id"),
+                truncate=True,
+            ):
+                if test_id is not None:
+                    self.existing.add(test_id)
             with self.path.open("rb") as fh:
-                for raw_line in fh:
-                    if torn is not None:
-                        raise torn  # a torn line with more lines after it
-                    last_line = raw_line
-                    stripped = raw_line.strip()
-                    if stripped:
-                        try:
-                            data = json.loads(stripped)
-                        except json.JSONDecodeError as exc:
-                            torn = exc
-                            continue
-                        # Stats trailers (and any other non-record line)
-                        # carry no test id and never dedup an append.
-                        if data.get("test_id") is not None:
-                            self.existing.add(data["test_id"])
-                    offset += len(raw_line)
-            if torn is not None:
-                warnings.warn(
-                    f"{self.path}: dropping truncated final "
-                    "record (interrupted mid-append?)",
-                    stacklevel=3,
-                )
-                os.truncate(self.path, offset)
-            elif last_line and not last_line.endswith(b"\n"):
-                repair_newline = True
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    repair_newline = fh.read() != b"\n"
         self._fh = self.path.open("a", encoding="utf-8")
         if repair_newline:
             self._fh.write("\n")

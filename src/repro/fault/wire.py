@@ -13,6 +13,10 @@ drift apart:
   the one decoder (log load and fabric ingest) and is
   forward-compatible: unknown keys (a log written by newer code) are
   dropped with a warning, missing keys take the dataclass defaults.
+- **Log lines** — :func:`record_from_line` decodes one JSONL log line
+  to what ``record_from_dict(json.loads(line))`` gives, but parses an
+  invocations array it has seen before only once (see
+  :func:`split_line`).
 - **Relay codec** — :func:`encode_record` / :func:`decode_record`, the
   compact form streamed back from fabric workers: fields still at their
   defaults are omitted, which roughly halves the encoded size of a
@@ -29,6 +33,7 @@ drift apart:
 
 from __future__ import annotations
 
+import json
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -40,10 +45,13 @@ from repro.fault.dictionaries import DictionarySet
 from repro.fault.matrix import build_matrix
 from repro.fault.mutant import ArgSpec, TestCallSpec, dataset_to_spec
 from repro.fault.testlog import (
+    INVOCATION_FIELDS,
+    STATS_KEY,
     Invocation,
     TestRecord,
     intern_state,
     shared_invocation,
+    shared_invocations,
 )
 
 # -- spec codec --------------------------------------------------------------
@@ -124,12 +132,12 @@ def record_to_dict(record: TestRecord) -> dict:
     }
 
 
-#: Field names of the current record/invocation dataclasses, computed
-#: once: ``record_from_dict`` sits on the relay and fabric hot paths
-#: (one call per streamed record), where rebuilding these sets per call
-#: was a measurable slice of the parent/coordinator's per-record cost.
+#: Field names of the current record dataclass, computed once:
+#: ``record_from_dict`` sits on the relay and fabric hot paths (one call
+#: per streamed record), where rebuilding this set (and the invocation
+#: one, ``testlog.INVOCATION_FIELDS``) per call was a measurable slice
+#: of the parent/coordinator's per-record cost.
 _RECORD_FIELDS = frozenset(f.name for f in fields(TestRecord))
-_INVOCATION_FIELDS = frozenset(f.name for f in fields(Invocation))
 
 #: Active unknown-field collectors (see :func:`dedup_unknown_fields`):
 #: a stack so nested loads each aggregate their own warning tally.
@@ -195,7 +203,7 @@ def record_from_dict(data: dict) -> TestRecord:
         data = dict(data)
     data["arg_labels"] = tuple(data.get("arg_labels", ()))
     data["resolved_args"] = tuple(data.get("resolved_args", ()))
-    inv_known = _INVOCATION_FIELDS
+    inv_known = INVOCATION_FIELDS
     invocations = []
     for inv in data.get("invocations", []):
         if inv.keys() == inv_known:
@@ -214,6 +222,70 @@ def record_from_dict(data: dict) -> TestRecord:
     data["resets"] = [tuple(r) for r in data.get("resets", [])]
     data["hm_events"] = [tuple(e) for e in data.get("hm_events", [])]
     return TestRecord(**data)
+
+
+#: Where a canonical log line's invocations array starts and ends:
+#: ``record_to_dict`` puts ``"invocations"`` right before
+#: ``"sim_crashed"`` and ``json.dumps`` separates with ``", "`` and
+#: ``": "``.  Neither text can occur inside a JSON string (its quotes
+#: would be escaped), only as keys.
+_INVOCATIONS_OPEN = '"invocations": ['
+_INVOCATIONS_CLOSE = '], "sim_crashed": '
+
+
+def split_line(line: str) -> tuple[dict, tuple[Invocation, ...] | None]:
+    """A log line's JSON object, parsed without a known invocations array.
+
+    On a canonical record line whose invocations array is memoised (see
+    :func:`~repro.fault.testlog.shared_invocations`), the object is
+    parsed with ``"invocations": []`` in the array's place and comes
+    back with the array's shared invocations; the array itself is
+    neither parsed nor keyed again.  That path is taken only where it
+    gives what ``json.loads(line)`` gives: the array key is top-level
+    (no ``{`` before it but the line's first), its text parses as a
+    list of shareable invocations, no second ``"invocations"`` key
+    follows and the line is not a stats trailer.  Any other line is
+    parsed whole and comes back with ``None``.  Raises
+    ``json.JSONDecodeError`` for a line that does not parse and
+    ``ValueError`` for one that is not a JSON object.
+    """
+    start = line.find(_INVOCATIONS_OPEN)
+    if start > 0 and line.find("{", 1, start) < 0:
+        cut = start + len(_INVOCATIONS_OPEN) - 1
+        end = line.find(_INVOCATIONS_CLOSE, cut)
+        if end > 0 and line.find('"invocations"', end) < 0:
+            invocations = shared_invocations(line[cut:end + 1])
+            if invocations is not None:
+                try:
+                    data = json.loads(line[:cut] + "[]" + line[end + 1:])
+                except json.JSONDecodeError:
+                    data = None
+                if data is not None and STATS_KEY not in data:
+                    return data, invocations
+    data = json.loads(line)
+    if type(data) is not dict:
+        raise ValueError(
+            f"a log line must be a JSON object, not {type(data).__name__}"
+        )
+    return data, None
+
+
+def record_from_line(line: str) -> TestRecord | dict:
+    """Decode one JSONL log line: its record, or a stats trailer's object.
+
+    The record equals ``record_from_dict(json.loads(line))``, unknown
+    fields, defaults and warnings included; on the memoised path (see
+    :func:`split_line`) it gets its own list of the shared invocations.
+    A line holding :data:`~repro.fault.testlog.STATS_KEY` is no record
+    and comes back as its parsed object.
+    """
+    data, invocations = split_line(line)
+    if STATS_KEY in data:
+        return data
+    record = record_from_dict(data)
+    if invocations is not None:
+        record.invocations = list(invocations)
+    return record
 
 
 #: Default field values of a record's dict form, used to sparsify the

@@ -1,6 +1,7 @@
 """Durable campaigns: streaming logs, worker supervision, watchdog, atomic IO."""
 
 import json
+import re
 import time
 
 import pytest
@@ -165,6 +166,19 @@ class TestTruncatedTail:
             CampaignLog.load(path)
         with pytest.raises(json.JSONDecodeError):
             CampaignLog.stream(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"just a string"', "null"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "mid-file"])
+    def test_a_line_that_is_no_object_is_a_clear_error(self, tmp_path, line, final):
+        path = tmp_path / "odd.jsonl"
+        lines = [json.dumps(make_record("a").to_dict()), line]
+        if not final:
+            lines.append(json.dumps(make_record("b").to_dict()))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        where = re.escape(f"{path}, line 2: ")
+        for open_log in (CampaignLog.load, CampaignLog.stream):
+            with pytest.raises(ValueError, match=where + ".*JSON object"):
+                open_log(path)
 
     def test_stream_repairs_missing_final_newline(self, tmp_path):
         path = tmp_path / "cut.jsonl"

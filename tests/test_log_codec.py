@@ -1,10 +1,13 @@
 """The record codec: byte-identical encoding, one decoder, shared state vectors."""
 
+import dataclasses
 import json
 import math
+import operator
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fault import testlog, wire
@@ -436,6 +439,266 @@ class TestInvocationSharing:
         monkeypatch.setattr(testlog, "INVOCATION_MEMO_MAX", 2)
         loaded = CampaignLog.load(path)
         assert len(testlog._INVOCATIONS) <= 2
+        assert loaded.records == log.records
+        assert saved(tmp_path, loaded, "again.jsonl").read_bytes() == path.read_bytes()
+
+
+# -- line decoder ------------------------------------------------------------
+
+#: Texts the line decoder splits at or refuses to split across.
+MARKERS = ('"invocations": [', '], "sim_crashed": ', "{", '"invocations"')
+marked_text = st.lists(st.one_of(text, st.sampled_from(MARKERS)), max_size=3).map(
+    "".join
+)
+shareable_invocations = st.builds(
+    Invocation,
+    returned=st.booleans(),
+    rc=st.one_of(st.none(), ints),
+    note=marked_text,
+    state=st.one_of(st.none(), st.builds(shared_state, state_keys)),
+)
+line_records = st.builds(
+    lambda record, invs, labels, reason, tail: dataclasses.replace(
+        record, invocations=invs, arg_labels=labels, halt_reason=reason,
+        console_tail=tail,
+    ),
+    records,
+    st.lists(st.one_of(shareable_invocations, invocations), max_size=3),
+    st.lists(marked_text, max_size=3).map(tuple),
+    marked_text,
+    st.lists(marked_text, max_size=2),
+)
+
+#: A one-invocation array unlike any the strategies draw.
+OTHER_ARRAY = [{"returned": True, "rc": 77, "note": "dup", "state": None}]
+
+
+def rewrites(line: str) -> dict[str, str]:
+    """``line`` as other writers might lay it out, duplicate keys included."""
+    data = json.loads(line)
+    dup = json.dumps({"invocations": OTHER_ARRAY})
+    return {
+        "canonical": line,
+        "compact": json.dumps(data, separators=(",", ":")),
+        "sorted": json.dumps(data, sort_keys=True),
+        "compact-sorted": json.dumps(data, separators=(",", ":"), sort_keys=True),
+        "earlier-copy": dup[:-1] + ", " + line[1:],  # the line's own wins
+        "later-copy": line[:-1] + ", " + dup[1:],  # the copy wins
+        "duplicate-id": line[:-1] + ', "test_id": "dup"}',
+    }
+
+
+def whole_line(line: str) -> TestRecord:
+    """What the line decoder must give: the whole line parsed and decoded."""
+    return wire.record_from_dict(json.loads(line))
+
+
+def assert_same_record(ours: TestRecord, theirs: TestRecord) -> None:
+    assert ours == theirs
+    # Equal is not enough (True == 1 == 1.0): the encoded form must agree.
+    assert json.dumps(ours.to_dict()) == json.dumps(theirs.to_dict())
+    # The whole-line decode's shared invocations, and only those, are ours.
+    for mine, other in zip(ours.invocations, theirs.invocations):
+        shared = shared_invocation(other.returned, other.rc, other.note, other.state)
+        assert (mine is other) == (other is shared)
+
+
+def record_line(record: TestRecord) -> str:
+    return json.dumps(wire.record_to_dict(record))
+
+
+def shareable_record(test_id: str) -> TestRecord:
+    state = shared_state((1, 0, 1, (("0", 0),), (("0", 0),), 1))
+    return TestRecord(
+        test_id, "XM_f", "c",
+        invocations=[Invocation(True, rc, "", state) for rc in (0, -3)],
+    )
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty invocation and text memos, restored after the test.
+
+    A text memo entry holds the invocation memo's objects, so a test
+    that swaps the one in (as the invocation-bound tests do) leaves the
+    other holding objects the restored memo does not know.
+    """
+    monkeypatch.setattr(testlog, "_INVOCATIONS", {})
+    monkeypatch.setattr(testlog, "_INVOCATION_TEXTS", {})
+    monkeypatch.setattr(testlog, "_invocation_text_chars", 0)
+
+
+@pytest.mark.usefixtures("fresh_memos")
+class TestLineDecoder:
+    @given(st.lists(line_records, max_size=4))
+    @settings(
+        max_examples=100,
+        deadline=None,
+        # the memos may carry over from one example to the next
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_lines_decode_as_the_whole_line_does(self, tmp_path_factory, generated):
+        path = saved(tmp_path_factory.mktemp("line"), CampaignLog(generated))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for ours, line in zip(CampaignLog.load(path).records, lines, strict=True):
+            assert_same_record(ours, whole_line(line))
+            for variant in rewrites(line).values():
+                assert_same_record(wire.record_from_line(variant), whole_line(variant))
+
+    @pytest.mark.parametrize("layout", list(rewrites("{}")))
+    def test_rewritten_log_loads_as_its_lines(self, tmp_path, layout):
+        path = saved(tmp_path, CampaignLog(sample_log().records))
+        lines = [
+            rewrites(line)[layout]
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = CampaignLog.load(path).records
+        for ours, line in zip(loaded, lines, strict=True):
+            assert_same_record(ours, whole_line(line))
+
+    def test_equal_array_texts_share_their_invocations(self, tmp_path):
+        path = saved(
+            tmp_path, CampaignLog([shareable_record("a#0"), shareable_record("a#1")])
+        )
+        first, second = CampaignLog.load(path).records
+        assert first.invocations is not second.invocations  # each its own list
+        assert all(map(operator.is_, first.invocations, second.invocations))
+        assert list(testlog._INVOCATION_TEXTS.values()) == [tuple(first.invocations)]
+        again = CampaignLog.load(path).records[0]
+        assert all(map(operator.is_, again.invocations, first.invocations))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda inv: inv.update(returned=1), id="returned-1"),
+            pytest.param(lambda inv: inv.update(rc=1.0), id="rc-1.0"),
+            pytest.param(lambda inv: inv.update(future=1), id="extra-key"),
+            pytest.param(lambda inv: inv.pop("note"), id="missing-key"),
+            pytest.param(
+                lambda inv: inv["state"].update(tm_message=True),
+                id="non-internable-state",
+            ),
+        ],
+    )
+    def test_unshareable_arrays_are_not_memoised(self, tmp_path, edit):
+        data = json.loads(record_line(shareable_record("u#0")))
+        edit(data["invocations"][1])
+        line = json.dumps(data)
+        path = tmp_path / "foreign.jsonl"
+        path.write_text(f"{line}\n{line}\n", encoding="utf-8")
+        first, second = CampaignLog.load(path).records
+        assert testlog._INVOCATION_TEXTS == {}
+        assert first.invocations[1] is not second.invocations[1]
+        # The shareable neighbour is still the shared object, as today.
+        assert first.invocations[0] is second.invocations[0]
+        assert_same_record(first, whole_line(line))
+
+    def test_only_json_arrays_have_shared_invocations(self):
+        for text in ("{}", "5", "null", '"[]"', "[1]", "[{}]"):
+            assert testlog.shared_invocations(text) is None
+        assert testlog.shared_invocations("[]") == ()
+
+    def test_nested_array_key_is_not_the_records(self):
+        # No top-level invocations: the first "invocations": [ belongs to
+        # a nested object, and its "], "sim_crashed": " follows right on.
+        nested = {"invocations": OTHER_ARRAY, "sim_crashed": False}
+        data = wire.record_to_dict(TestRecord("n#0", "XM_f", "c", host_context=nested))
+        del data["invocations"]
+        line = json.dumps(data)
+        assert testlog.shared_invocations(json.dumps(OTHER_ARRAY)) is not None
+        record = wire.record_from_line(line)
+        assert record.invocations == []
+        assert record.host_context == nested
+        assert_same_record(record, whole_line(line))
+
+    def test_a_record_line_with_a_stats_key_is_a_trailer(self):
+        data = {**wire.record_to_dict(shareable_record("s#0")), STATS_KEY: {"x": 1}}
+        line = json.dumps(data)
+        wire.record_from_line(line)  # the array text is memoised now
+        assert wire.record_from_line(line) == json.loads(line)
+
+    def test_text_memo_hands_out_what_shared_invocation_does(
+        self, tmp_path, monkeypatch
+    ):
+        path = saved(tmp_path, CampaignLog([shareable_record("e#0")]))
+        CampaignLog.load(path)
+        monkeypatch.setattr(testlog, "INVOCATION_MEMO_MAX", 2)
+        for rc in range(5):  # evicts the record's invocations
+            shared_invocation(False, rc, "churn", None)
+        (record,) = CampaignLog.load(path).records
+        for inv in record.invocations:
+            assert inv is shared_invocation(inv.returned, inv.rc, inv.note, inv.state)
+
+    @pytest.mark.parametrize("where", ["array", "tail"])
+    def test_torn_final_line_is_dropped(self, tmp_path, where):
+        head = CampaignLog(sample_log().records[:3])
+        path = saved(tmp_path, head)
+        CampaignLog.load(path)  # the array texts are memoised now
+        last = record_line(sample_log().records[3])
+        split = last.index(wire._INVOCATIONS_CLOSE)
+        cut = split - 20 if where == "array" else split + 40
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(last[:cut])
+        with pytest.warns(UserWarning, match="truncated final record"):
+            assert CampaignLog.load(path).records == head.records
+        with pytest.warns(UserWarning, match="truncated final record"):
+            stream = CampaignLog.stream(path)
+        stream.close()
+        assert stream.existing == {r.test_id for r in head}
+        assert path.read_bytes() == saved(tmp_path, head, "head.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("where", ["array", "tail", "corrupt-array"])
+    def test_torn_line_before_the_last_is_an_error(self, tmp_path, where):
+        records = sample_log().records[:3]
+        path = saved(tmp_path, CampaignLog(records))
+        CampaignLog.load(path)  # the array texts are memoised now
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        split = lines[1].index(wire._INVOCATIONS_CLOSE)
+        if where == "corrupt-array":  # head and tail intact
+            lines[1] = lines[1][: split - 3] + lines[1][split:]
+        else:
+            cut = split - 20 if where == "array" else split + 40
+            lines[1] = lines[1][:cut] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(lines[1])
+        # The error is the whole line's, not that of a split of it.
+        with pytest.raises(json.JSONDecodeError, match=re.escape(str(whole.value))):
+            CampaignLog.load(path)
+        with pytest.raises(json.JSONDecodeError, match=re.escape(str(whole.value))):
+            CampaignLog.stream(path)
+
+    def test_resume_scan_parses_no_memoised_array(self, tmp_path, monkeypatch):
+        path = saved(tmp_path, sample_log())
+        CampaignLog.load(path)  # the array texts are memoised now
+        parsed = []
+        loads = json.loads
+
+        def spy(text, **kwargs):
+            parsed.append(text)
+            return loads(text, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        with CampaignLog.stream(path) as stream:
+            pass
+        assert len(stream.existing) == len(sample_log())
+        assert parsed and not any('"returned"' in text for text in parsed)
+
+    @pytest.mark.parametrize(
+        "count, chars", [(2, 1 << 22), (1024, 1000), (1024, 200_000), (1, 10)]
+    )
+    def test_tiny_text_memo_during_a_load_changes_no_record(
+        self, tmp_path, monkeypatch, count, chars
+    ):
+        log = sample_log()
+        path = saved(tmp_path, log)
+        monkeypatch.setattr(testlog, "INVOCATION_TEXT_MEMO_MAX", count)
+        monkeypatch.setattr(testlog, "INVOCATION_TEXT_MEMO_CHARS", chars)
+        loaded = CampaignLog.load(path)
+        memo = testlog._INVOCATION_TEXTS
+        assert len(memo) <= count
+        assert sum(map(len, memo)) <= chars
         assert loaded.records == log.records
         assert saved(tmp_path, loaded, "again.jsonl").read_bytes() == path.read_bytes()
 
