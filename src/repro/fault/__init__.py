@@ -71,9 +71,6 @@ _EXPORTS = {
     "StressComparison": "stress.StressComparison",
     "StressExecutor": "stress.StressExecutor",
     "run_stress_comparison": "stress.run_stress_comparison",
-    "StatefulOracle": "stateful_oracle.StatefulOracle",
-    "capture_state": "stateful_oracle.capture_state",
-    "classify_stateful": "stateful_oracle.classify_stateful",
     "replay_known_vulnerabilities": "regression.replay",
     "vulnerability_specs": "regression.vulnerability_specs",
     "PhantomCampaign": "phantom.PhantomCampaign",

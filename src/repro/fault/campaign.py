@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.fault import wire
 from repro.fault.apimodel import ApiFunction, ApiModel, api_model_from_table
-from repro.fault.classify import Classification, Severity, classify
+from repro.fault.classify import Classification, Severity
 from repro.fault.combinator import CartesianStrategy, GenerationStrategy
 from repro.fault.dictionaries import DictionarySet
 from repro.fault.issues import Issue, cluster_issues
@@ -395,6 +395,10 @@ class Campaign:
             verify_plan=self.verify_plan,
             profile=self.profile,
         )
+        if specs:
+            # Boot before the first spec, as fabric workers do, so no
+            # test's watchdog pays for the warm-boot snapshot.
+            executor.prepare()
         finish = session.emit
         try:
             if self.compiled_plan:
@@ -462,6 +466,11 @@ class Campaign:
     def analyse(self, log: CampaignLog) -> CampaignResult:
         """Log-analysis phase: oracle, CRASH classification, clustering.
 
+        Every record gets :meth:`ReferenceOracle.verdict`: each
+        invocation is judged against the expectation of the kernel state
+        it ran in, and the classified triple keeps the expectation that
+        decided the verdict.
+
         Execution stats rehydrated from the log's trailer (a streamed
         log analysed offline) carry over onto the result, so the
         offline report matches the live one line for line.
@@ -477,13 +486,15 @@ class Campaign:
         for record in log:
             entry = plan.by_id.get(record.test_id) if plan is not None else None
             if entry is not None:
-                expectation = oracle.expect_planned(entry)
+                expectation, classification = oracle.verdict(
+                    record, entry.spec, (entry.function, entry.arg_labels)
+                )
             else:
                 spec = spec_index.get(record.test_id)
                 if spec is None:
                     spec = self._rebuild_spec(record)
-                expectation = oracle.expect(spec)
-            classified.append((record, expectation, classify(record, expectation)))
+                expectation, classification = oracle.verdict(record, spec)
+            classified.append((record, expectation, classification))
         issues = cluster_issues(classified)
         return self._result(log, classified, issues)
 

@@ -14,18 +14,27 @@ Ballista's severity scale, applied per the paper:
 
 Silent and Hindering need the reference oracle; the first three are
 observable from the Health Monitor and the simulator, as the paper
-notes.
+notes.  The oracle is state-aware, so one record's invocations can be
+held to different expectations:
+:meth:`~repro.fault.oracle.ReferenceOracle.verdict` calls
+:func:`classify` once per distinct expectation, each judging its own
+invocations, and keeps the worst result.  Every verdict of a campaign,
+stress comparison or regression replay takes that one path.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.fault.oracle import Expectation
 from repro.fault.testlog import TestRecord
 from repro.xm import rc
 from repro.xm.hm import HmEvent
+
+if TYPE_CHECKING:
+    from repro.fault.oracle import Expectation
 
 
 class Severity(enum.Enum):
@@ -42,6 +51,10 @@ class Severity(enum.Enum):
     def is_failure(self) -> bool:
         """Whether the outcome counts as a robustness failure."""
         return self is not Severity.PASS
+
+
+#: Severity order, most severe first (lower is worse).
+SEVERITY_RANK = {severity: rank for rank, severity in enumerate(Severity)}
 
 
 class FailureKind(enum.Enum):
@@ -80,8 +93,16 @@ def _expected_resets(record: TestRecord, expectation: Expectation) -> bool:
     return expectation.allow_no_return and record.function == "XM_reset_system"
 
 
-def classify(record: TestRecord, expectation: Expectation) -> Classification:
-    """Classify one executed test against its expectation."""
+def classify(
+    record: TestRecord,
+    expectation: Expectation,
+    judged: Sequence[int] | None = None,
+) -> Classification:
+    """Classify one executed test against its expectation.
+
+    ``judged`` lists, in order, the indices of the invocations whose
+    return codes ``expectation`` decides; by default, all of them.
+    """
     # 0. The whole worker process died: the process-level analogue of
     #    the paper's simulator-killing tests, recorded by the campaign
     #    supervisor rather than the (dead) executor.
@@ -133,14 +154,17 @@ def classify(record: TestRecord, expectation: Expectation) -> Classification:
             "memory protection fault; HM halted the test partition",
         )
     # 4. Return-path verdicts.
-    if record.never_returned:
+    invocations = record.invocations
+    if judged is not None:
+        invocations = [invocations[index] for index in judged]
+    if record.never_returned and (judged is None or judged[0] == 0):
         if expectation.allow_no_return:
             return Classification(Severity.PASS, FailureKind.NONE, expectation.note)
         return Classification(
             Severity.RESTART, FailureKind.NO_RETURN,
             "the test call never returned",
         )
-    for invocation in record.invocations:
+    for invocation in invocations:
         if not invocation.returned:
             continue
         code = invocation.rc

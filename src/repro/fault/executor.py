@@ -53,8 +53,7 @@ from repro.fault.plan import (
     CompiledPlan,
     PlanEntry,
 )
-from repro.fault.stateful_oracle import capture_state
-from repro.fault.testlog import Invocation, TestRecord
+from repro.fault.testlog import Invocation, TestRecord, capture_state
 from repro.testbed import build_system
 from repro.testbed.builder import FDIR_SLOT_HOOK
 from repro.tsim.delta import DeltaResetError, Unjournalable

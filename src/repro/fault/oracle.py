@@ -13,16 +13,28 @@ attribution and for the fault-masking analysis).
 The oracle is version-aware: the revised kernel's documentation removes
 ``XM_multicall`` and adds the 50 µs minimum timer interval, so
 expectations differ between 3.4.0 and 3.4.1.
+
+It is also state-aware, as §V asks: "an automated oracle … is only
+possible if it considers the state of the separation kernel at that
+moment".  The executor captures a state vector before every invocation
+(:func:`~repro.fault.testlog.capture_state`), and the contracts of the
+seek and sampling services are refined from it.  The documented rules
+assume a quiet testbed; they are the ``state=None`` case of
+:meth:`ReferenceOracle.expect`, which the truth base's dry run uses.
+:meth:`ReferenceOracle.verdict` judges every invocation of an executed
+test against the expectation of the state it ran in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.fault.classify import SEVERITY_RANK, Classification, classify
 from repro.fault.dictionaries import Symbol
 from repro.fault.mutant import ArgSpec, TestCallSpec
+from repro.fault.testlog import TestRecord
 from repro.xm import rc
-from repro.xm.vulns import FIXED_VERSION, KernelFeatures, VULNERABLE_VERSION
+from repro.xm.vulns import KernelFeatures, VULNERABLE_VERSION
 
 #: Valid EagleEye partition ids (plus -1 = self).
 PARTITION_IDS = frozenset({0, 1, 2, 3, 4})
@@ -106,10 +118,11 @@ class ReferenceOracle:
     ) -> None:
         self.features = KernelFeatures.for_version(kernel_version)
         self.context = context if context is not None else OracleContext()
-        #: Expectation cache: the oracle is pure in (function, labels),
-        #: and a campaign asks about the same few datasets thousands of
-        #: times (every suite reuses the shared dictionaries).
-        self._memo: dict[tuple[str, tuple[str, ...]], Expectation] = {}
+        #: Expectation cache: the oracle is pure in (function, labels)
+        #: and, for a state-refined service, the state values its
+        #: refinement reads; a campaign asks about the same few datasets
+        #: thousands of times (every suite reuses the shared dictionaries).
+        self._memo: dict[tuple, Expectation] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -137,43 +150,90 @@ class ReferenceOracle:
         """A name pointer needs both a valid address and termination."""
         return self._is_symbol(arg, Symbol.VALID_NAME)
 
-    # -- entry point -------------------------------------------------------------
+    # -- entry points ------------------------------------------------------------
 
-    def expect(self, spec: TestCallSpec) -> Expectation:
-        """Expectation for one test call (memoized).
+    def expect(self, spec: TestCallSpec, state: dict | None = None) -> Expectation:
+        """Expectation for one test call made in kernel state ``state``.
 
-        The rules depend only on the function and the labelled dataset
-        (labels map one-to-one to test values), so the answer is cached
-        per ``(function, arg_labels)``.
+        ``state`` is an invocation's captured state vector; ``None`` is
+        the quiet testbed the documented rules assume.  Memoized: the
+        rules depend only on the function and the labelled dataset
+        (labels map one-to-one to test values) plus, for a refined
+        service, the state values its refinement reads — never on the
+        state dict's identity or key order.
         """
-        return self._expect(spec, (spec.function, spec.arg_labels()))
-
-    def _expect(self, spec: TestCallSpec, key: tuple) -> Expectation:
-        """:meth:`expect` with the memo key ``(function, arg_labels)`` given."""
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        handler = getattr(self, f"_x_{spec.function}", None)
-        if handler is None:
-            raise KeyError(f"no oracle rule for {spec.function}")
-        values = {arg.param: arg for arg in spec.args}
-        literals = {
-            arg.param: (arg.value if arg.value is not None else None)
-            for arg in spec.args
-        }
-        expectation = handler(spec, values, literals)
-        self._memo[key] = expectation
-        return expectation
+        return self._expect(spec, (spec.function, spec.arg_labels()), state)
 
     def expect_planned(self, entry) -> Expectation:  # noqa: ANN001 - plan.PlanEntry
         """Expectation for a compiled plan entry.
 
         Identical to :meth:`expect` on ``entry.spec``, but keys the
         memo with the label tuple the plan already computed instead of
-        rebuilding it per record (or per miss) — analysis touches this
-        once per test.
+        rebuilding it per record (or per miss).
         """
         return self._expect(entry.spec, (entry.function, entry.arg_labels))
+
+    def verdict(
+        self, record: TestRecord, spec: TestCallSpec, key: tuple | None = None
+    ) -> tuple[Expectation, Classification]:
+        """Judge one executed test: the path every verdict takes.
+
+        Each invocation is judged against :meth:`expect` in the state it
+        ran in.  A service without a state refinement has one
+        expectation per record.  Otherwise the record is classified once
+        per distinct expectation among its invocations and the worst
+        result stands, returned with the expectation that decided it.
+        ``key`` is the memo key ``(function, arg_labels)`` when the
+        caller already holds it (a compiled plan entry).
+        """
+        if key is None:
+            key = (spec.function, spec.arg_labels())
+        static = self._expect(spec, key)
+        if spec.function not in self._REFINERS:
+            return static, classify(record, static)
+        judged: dict[Expectation, list[int]] = {}
+        state = indices = None
+        for index, invocation in enumerate(record.invocations):
+            if indices is None or invocation.state is not state:
+                # Consecutive invocations often share one state object.
+                state = invocation.state
+                indices = judged.setdefault(self._expect(spec, key, state), [])
+            indices.append(index)
+        if len(judged) <= 1:
+            expectation = next(iter(judged), static)
+            return expectation, classify(record, expectation)
+        return min(  # the first of the most severe
+            ((expectation, classify(record, expectation, indices))
+             for expectation, indices in judged.items()),
+            key=lambda verdict: SEVERITY_RANK[verdict[1].severity],
+        )
+
+    def _expect(
+        self, spec: TestCallSpec, key: tuple, state: dict | None = None
+    ) -> Expectation:
+        """:meth:`expect` with the memo key ``(function, arg_labels)`` given."""
+        expectation = self._memo.get(key)
+        if expectation is None:
+            handler = getattr(self, f"_x_{spec.function}", None)
+            if handler is None:
+                raise KeyError(f"no oracle rule for {spec.function}")
+            values = {arg.param: arg for arg in spec.args}
+            literals = {arg.param: arg.value for arg in spec.args}
+            expectation = self._memo[key] = handler(spec, values, literals)
+        if not state:
+            return expectation
+        refiner = self._REFINERS.get(spec.function)
+        if refiner is None:
+            return expectation
+        reads, refine = refiner
+        read = reads(self, spec, expectation, state)
+        if read is None:
+            return expectation
+        refined_key = (*key, read)
+        refined = self._memo.get(refined_key)
+        if refined is None:
+            refined = self._memo[refined_key] = refine(self, spec, expectation, *read)
+        return refined
 
     # -- System Management ----------------------------------------------------------
 
@@ -587,3 +647,57 @@ class ReferenceOracle:
 
     def _x_XM_sparc_atomic_or(self, spec, args, lit) -> Expectation:
         return self._atomic(spec, args, lit)
+
+    # -- State refinements (§V) ------------------------------------------------------------------------
+    #
+    # Each refined service names the state values its contract reads
+    # (``None``: the documented rule stands in every state) and refines
+    # the quiet-testbed expectation from those values alone.
+
+    def _seek_in_state(self, spec, static, length, cursor) -> Expectation:  # noqa: ANN001
+        """A seek succeeds exactly when its target lies inside the log."""
+        offset = self._arg(spec, "offset").value or 0
+        whence = self._arg(spec, "whence").value or 0
+        target = {0: offset, 1: cursor + offset, 2: length + offset}.get(whence)
+        if target is None:
+            return static  # an unknown whence is invalid in every state
+        if 0 <= target <= length:
+            return Expectation(allowed=frozenset({rc.XM_OK}), note="in range (state)")
+        return _err(rc.XM_INVALID_PARAM, ("offset",), note="out of range (state)")
+
+    def _r_XM_hm_seek(self, spec, static, state) -> tuple:  # noqa: ANN001
+        return state["hm_len"], state["hm_cursor"]
+
+    def _r_XM_trace_seek(self, spec, static, state) -> tuple | None:  # noqa: ANN001
+        if "streamId" in static.invalid_params:
+            return None
+        stream = str(self._arg(spec, "streamId").value or 0)
+        return state["trace_lens"].get(stream, 0), state["trace_cursors"].get(stream, 0)
+
+    def _r_XM_read_sampling_message(self, spec, static, state) -> tuple | None:  # noqa: ANN001
+        if not static.rc_acceptable(rc.XM_NO_ACTION):
+            return None
+        return (state["tm_message"],)
+
+    def _s_XM_read_sampling_message(self, spec, static, tm_message) -> Expectation:  # noqa: ANN001
+        # With the channel state known, the empty/full ambiguity is gone.
+        if tm_message:
+            return Expectation(
+                allowed=frozenset(code for code in static.allowed if code != rc.XM_NO_ACTION),
+                allow_nonneg=static.allow_nonneg,
+                invalid_params=static.invalid_params,
+                note="message present (state)",
+            )
+        if static.invalid_params:
+            # Empty channel: NO_ACTION precedes the parameter checks.
+            return _err(rc.XM_NO_ACTION, static.invalid_params, note="empty channel (state)")
+        return static
+
+    #: ``function -> (reads, refine)`` for the state-dependent services.
+    _REFINERS = {
+        "XM_hm_seek": (_r_XM_hm_seek, _seek_in_state),
+        "XM_trace_seek": (_r_XM_trace_seek, _seek_in_state),
+        "XM_read_sampling_message": (
+            _r_XM_read_sampling_message, _s_XM_read_sampling_message,
+        ),
+    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fault.classify import FailureKind, Severity, classify
+from repro.fault.classify import FailureKind, Severity
 from repro.fault.executor import TestExecutor
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.oracle import ReferenceOracle
@@ -108,7 +108,7 @@ def replay(kernel_version: str = VULNERABLE_VERSION) -> list[RegressionOutcome]:
     for vulnerability in KNOWN_VULNERABILITIES:
         spec = vulnerability_spec(vulnerability)
         record = executor.run(spec)
-        classification = classify(record, oracle.expect(spec))
+        _expectation, classification = oracle.verdict(record, spec)
         outcomes.append(
             RegressionOutcome(
                 ident=vulnerability.ident,

@@ -9,12 +9,13 @@ testbed and once with a phantom state applied first, and the per-test
 classifications are diffed.
 
 A classification that changes under stress is a *state-sensitive
-outcome*.  Some are new robustness information (a latent failure only
-reachable in the stressed state); others expose context-dependence of
-the expected-behaviour oracle itself — e.g. with the HM log pre-filled,
-``XM_hm_seek`` offsets the quiet-system oracle deems out of range become
-legitimate, which is precisely the paper's argument (§V) that a full
-logic model must track system state.
+outcome*: a latent failure only reachable in the stressed state.  Both
+runs are judged by the same state-aware oracle, so a return code that
+changes only because the state changed is not one.  With the HM log
+pre-filled, for instance, ``XM_hm_seek`` offsets that are out of range
+on the quiet testbed succeed, and the oracle expects them to (the
+quiet-system rules alone would report six Pass→Silent divergences):
+that is §V's argument that a full logic model must track system state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.fault.campaign import Campaign, CampaignResult
-from repro.fault.classify import Classification, Severity, classify
+from repro.fault.classify import SEVERITY_RANK, Classification
 from repro.fault.executor import CampaignPayload, TestExecutor
 from repro.fault.phantom import PhantomState, _apply_state
 from repro.fault.testlog import CampaignLog
@@ -76,8 +77,7 @@ class StateSensitivity:
     @property
     def got_worse(self) -> bool:
         """Whether stress surfaced a (more severe) failure."""
-        order = list(Severity)
-        return order.index(self.stressed.severity) < order.index(self.nominal.severity)
+        return SEVERITY_RANK[self.stressed.severity] < SEVERITY_RANK[self.nominal.severity]
 
 
 @dataclass
@@ -112,23 +112,17 @@ def run_stress_comparison(
     executor = StressExecutor(
         state, kernel_version=campaign.kernel_version, frames=campaign.frames
     )
-    stressed_records = [executor.run(spec) for spec in campaign.iter_specs()]
-    stressed_log = CampaignLog(stressed_records)
-
-    # Classify the stressed records against the same (quiet-system)
-    # oracle: divergences are state sensitivities by definition.
-    from repro.fault.oracle import ReferenceOracle
-
-    oracle = ReferenceOracle(campaign.kernel_version, campaign.oracle_context)
-    spec_index = {spec.test_id: spec for spec in campaign.iter_specs()}
+    # The campaign's own analysis judges the stressed records: a
+    # divergence is a verdict that changed, not a return code.
+    stressed = campaign.analyse(
+        CampaignLog([executor.run(spec) for spec in campaign.iter_specs()])
+    )
     nominal_cls = {
         record.test_id: classification
         for record, _expectation, classification in nominal.classified
     }
     sensitivities: list[StateSensitivity] = []
-    for record in stressed_records:
-        expectation = oracle.expect(spec_index[record.test_id])
-        stressed_cls = classify(record, expectation)
+    for record, _expectation, stressed_cls in stressed.classified:
         baseline = nominal_cls[record.test_id]
         if (stressed_cls.severity, stressed_cls.kind) != (
             baseline.severity,
@@ -145,6 +139,6 @@ def run_stress_comparison(
     return StressComparison(
         state=state,
         nominal=nominal,
-        stressed_log=stressed_log,
+        stressed_log=stressed.log,
         sensitivities=sensitivities,
     )

@@ -70,8 +70,7 @@ def atomic_write_text(
         raise
 
 
-#: Field order of a state vector (see
-#: :func:`repro.fault.stateful_oracle.capture_state`).
+#: Field order of a state vector (see :func:`capture_state`).
 STATE_FIELDS = (
     "hm_len", "hm_cursor", "hm_unread", "trace_lens", "trace_cursors", "tm_message"
 )
@@ -113,6 +112,43 @@ def shared_state(key: tuple) -> dict:
     return state
 
 
+#: str(stream_id) memo — capture_state runs once per invocation and the
+#: handful of stream ids repeat for the life of the process.
+_STREAM_KEYS: dict[int, str] = {}
+
+
+def capture_state(kernel) -> dict:  # noqa: ANN001 - repro.xm.kernel.Kernel
+    """Snapshot the state the contracts of stateful services depend on.
+
+    The executor captures it before every invocation, and the oracle
+    refines its expectations from it.  Equal snapshots return the same
+    shared, read-only dict (see :func:`shared_state`): the lookup key is
+    built from the scalars read here, so a repeated state allocates
+    nothing.
+    """
+    tm_chan = kernel.ipc.channels.get("CH_TM_AOCS")
+    hm = kernel.hm
+    hm_len = len(hm.records)
+    hm_cursor = hm.read_cursor
+    trace_lens = []
+    trace_cursors = []
+    keys = _STREAM_KEYS
+    for stream_id, stream in kernel.tracemgr.streams.items():
+        key = keys.get(stream_id)
+        if key is None:
+            key = keys[stream_id] = str(stream_id)
+        trace_lens.append((key, len(stream.events)))
+        trace_cursors.append((key, stream.cursor))
+    return shared_state((
+        hm_len,
+        hm_cursor,
+        hm_len - hm_cursor,
+        tuple(trace_lens),
+        tuple(trace_cursors),
+        int(tm_chan is not None and tm_chan.message is not None),
+    ))
+
+
 def _state_key(state: object) -> tuple | None:
     """The :func:`shared_state` key of an internable state, else None.
 
@@ -147,8 +183,8 @@ def intern_state(state: object) -> object:
 class Invocation:
     """Outcome of one invocation of the test call (once per major frame).
 
-    ``state`` is the optional pre-call system snapshot used by the
-    state-aware oracle (see :mod:`repro.fault.stateful_oracle`); equal
+    ``state`` is the optional pre-call system snapshot the oracle
+    refines its expectation from (see :func:`capture_state`); equal
     snapshots share one read-only dict (see :func:`shared_state`).
     """
 

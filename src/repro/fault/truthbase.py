@@ -143,7 +143,11 @@ class TruthBase:
 
 
 def build_truthbase(campaign: Campaign) -> TruthBase:
-    """The dry run: record every documented expectation, execute nothing."""
+    """The dry run: record every documented expectation, execute nothing.
+
+    Nothing runs, so no state is captured: every entry is the oracle's
+    ``state=None`` (quiet testbed) expectation.
+    """
     from repro.fault.oracle import ReferenceOracle
 
     oracle = ReferenceOracle(campaign.kernel_version, campaign.oracle_context)

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from repro.fault import testlog, wire
 from repro.fault.campaign import Campaign
-from repro.fault.stateful_oracle import capture_state
 from repro.fault.testlog import (
     STATE_FIELDS,
     STATS_KEY,
     CampaignLog,
     Invocation,
     TestRecord,
+    capture_state,
     intern_state,
     shared_invocation,
     shared_state,

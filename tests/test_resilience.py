@@ -43,6 +43,10 @@ needs_fork = pytest.mark.skipif(
 )
 
 SUITE = ("XM_reset_system",)  # 5 specs: small enough to soak repeatedly
+#: Watchdog budget of the serial arbitration tests.  The injected hangs
+#: spin until it expires; a clean spec of SUITE takes 0.07-0.27 s on a
+#: 2-CPU host, so 1.5 s keeps innocent specs clear of it on slower hosts.
+HANG_BUDGET_S = 1.5
 
 
 def strip_provenance(record):
@@ -267,7 +271,7 @@ class TestSerialArbitration:
         campaign = Campaign(functions=SUITE)
         victim = next(iter(campaign.iter_specs()))
         monkeypatch.setenv(HANG_SPEC_ENV, victim.test_id)
-        result = campaign.run(timeout_s=0.2)
+        result = campaign.run(timeout_s=HANG_BUDGET_S)
         record = next(r for r in result.log if r.test_id == victim.test_id)
         assert record.watchdog_expired and record.sim_hung
         assert (record.attempts, record.arbitrated) == (2, True)
@@ -292,12 +296,33 @@ class TestSerialArbitration:
         victim = next(iter(campaign.iter_specs()))
         monkeypatch.setenv(HANG_SPEC_ENV, victim.test_id)
         monkeypatch.setenv(FAULT_ONCE_DIR_ENV, str(tmp_path))
-        result = campaign.run(timeout_s=0.2)
+        result = campaign.run(timeout_s=HANG_BUDGET_S)
         record = next(r for r in result.log if r.test_id == victim.test_id)
         assert not record.watchdog_expired and not record.sim_hung
         assert (record.attempts, record.arbitrated) == (2, True)
         expected = next(r for r in clean if r.test_id == victim.test_id)
         assert strip_provenance(record) == strip_provenance(expected)
+
+    def test_serial_run_boots_before_the_first_spec(self, monkeypatch):
+        # The warm-boot snapshot is built before any spec runs, so the
+        # first spec's watchdog never pays for it.
+        from repro.fault.executor import TestExecutor
+
+        events = []
+        prepare, run_group = TestExecutor.prepare, TestExecutor.run_group
+
+        def prepared(executor):
+            events.append("prepare")
+            prepare(executor)
+
+        def ran(executor, *args, **kwargs):
+            events.append("run")
+            return run_group(executor, *args, **kwargs)
+
+        monkeypatch.setattr(TestExecutor, "prepare", prepared)
+        monkeypatch.setattr(TestExecutor, "run_group", ran)
+        Campaign(functions=SUITE).run()
+        assert events[0] == "prepare" and "run" in events
 
     def test_single_shot_policy_restores_first_sight_verdicts(
         self, monkeypatch
@@ -306,7 +331,7 @@ class TestSerialArbitration:
         victim = next(iter(campaign.iter_specs()))
         monkeypatch.setenv(HANG_SPEC_ENV, victim.test_id)
         result = campaign.run(
-            timeout_s=0.2, retry_policy=RetryPolicy(max_attempts=1, quorum=1)
+            timeout_s=HANG_BUDGET_S, retry_policy=RetryPolicy(max_attempts=1, quorum=1)
         )
         record = next(r for r in result.log if r.test_id == victim.test_id)
         assert record.watchdog_expired
