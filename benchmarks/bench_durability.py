@@ -13,8 +13,8 @@ import os
 import time
 
 from conftest import record_bench
+from repro.fabric.worker import KILL_SPEC_ENV
 from repro.fault.campaign import Campaign
-from repro.fault.executor import KILL_SPEC_ENV
 from repro.fault.testlog import CampaignLog
 
 #: Mid-sized scope, a few seconds serial.

@@ -29,8 +29,8 @@ import pytest
 from conftest import record_bench
 
 from repro.fabric import coordinate
+from repro.fabric.worker import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV
 from repro.fault.campaign import Campaign
-from repro.fault.executor import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV
 
 #: Same mid-sized scope as bench_warm_boot / bench_compiled (232 tests).
 SCOPE = ("XM_reset_partition", "XM_get_partition_status", "XM_halt_partition")

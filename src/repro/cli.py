@@ -82,7 +82,10 @@ def _campaign_options(p: argparse.ArgumentParser) -> None:
         dest="timeout_s",
         type=float,
         default=None,
-        help="per-test wall-clock watchdog in seconds (default: none)",
+        help="per-test wall-clock deadline in seconds, enforced by worker "
+        "processes (one worker without --processes): a test that overruns "
+        "it ends its worker and gets a watchdog_expired observation "
+        "(default: none)",
     )
     p.add_argument(
         "--shard-size",

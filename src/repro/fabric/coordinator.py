@@ -15,10 +15,13 @@ in batches, so the specs a dead worker still owed are ambiguous (its
 unflushed batch tail hides finished innocents); the re-lease therefore
 runs with per-record flushing (``flush: 1``), after which the first
 owed index *is* the spec that was running when the worker died.  Each
-probe-lease death adds one ``worker_killed`` observation for that spec;
-the quorum (:class:`~repro.fault.resilience.VerdictArbiter`) decides
-when the verdict is terminal, and confirmed killers land in the
-persistent :class:`~repro.fault.resilience.Quarantine`.
+probe-lease death adds one ``worker_killed`` observation for that spec.
+A worker that overran the campaign's wall-clock deadline names its spec
+itself (a ``deadline`` frame) before it exits, so its death adds one
+``watchdog_expired`` observation for that spec on any lease.  The
+quorum (:class:`~repro.fault.resilience.VerdictArbiter`) decides when
+a verdict is terminal, and confirmed killers land in the persistent
+:class:`~repro.fault.resilience.Quarantine`.
 
 Work stealing handles stragglers: an idle worker with an empty queue is
 granted the tail half of the largest outstanding lease (the victim gets
@@ -96,7 +99,9 @@ class _Lease:
 class _Worker:
     """One connected worker agent."""
 
-    __slots__ = ("name", "host", "writer", "lease", "idle", "last_seen", "context")
+    __slots__ = (
+        "name", "host", "writer", "lease", "idle", "last_seen", "context", "overran",
+    )
 
     def __init__(
         self, name: str, host: str, writer, now: float, context: dict  # noqa: ANN001
@@ -111,16 +116,19 @@ class _Worker:
         #: shared dict; stripped, like all host context, in identity
         #: comparisons).
         self.context = context
+        #: Spec index the agent reported over the deadline, just before
+        #: it ends its process; None for any other death.
+        self.overran: int | None = None
 
 
 class FabricCoordinator:
     """Asyncio TCP server that leases spec shards and collects records.
 
     Every (deduplicated) relayed record goes to
-    :meth:`CampaignSession.deliver` — arbitration, checkpoint, progress;
-    a False return withholds it and re-leases its spec.  Terminal
-    records the coordinator synthesises itself (``worker_killed``
-    verdicts) go to :meth:`CampaignSession.emit`.  Both run on the
+    :meth:`CampaignSession.deliver` — arbitration provenance,
+    checkpoint, progress.  Terminal records the coordinator synthesises
+    itself (``worker_killed`` and ``watchdog_expired`` verdicts) go to
+    :meth:`CampaignSession.emit`.  Both run on the
     event loop; a BaseException from either (a progress hook's
     KeyboardInterrupt, injected ChaosError) is captured into
     ``self.failure`` and ends the campaign.
@@ -288,6 +296,8 @@ class FabricCoordinator:
                     await self._on_records(worker, frame)
                 elif kind == "lease-done":
                     await self._on_lease_done(worker, frame)
+                elif kind == "deadline":
+                    worker.overran = frame.get("index")
                 # Unknown frame types are ignored (newer workers may
                 # speak extensions this coordinator predates).
         except (ConnectionError, OSError):
@@ -392,7 +402,6 @@ class FabricCoordinator:
             return
         loop = asyncio.get_running_loop()
         lease = self.leases.get(frame.get("lease"))
-        requeued = False
         for encoded in frame.get("records", ()):
             try:
                 record = wire.decode_record(encoded)
@@ -413,17 +422,10 @@ class FabricCoordinator:
                 lease.last_progress = loop.time()
             if index not in self.unresolved:
                 continue  # duplicate (steal race or reconnect replay)
-            if not self.session.deliver(record, worker.context):
-                # Withheld for arbitration: re-lease the spec alone,
-                # per-record flushed, so the retry verdict is exact.
-                self.pending.appendleft(([index], True))
-                requeued = True
-            else:
-                self.unresolved.discard(index)
+            self.session.deliver(record, worker.context)
+            self.unresolved.discard(index)
         if not self.unresolved:
             self.done.set()
-        elif requeued:
-            await self._grant_idle()
 
     async def _on_lease_done(self, worker: _Worker, frame: dict) -> None:
         """A worker finished (every non-revoked index of) its lease."""
@@ -447,12 +449,13 @@ class FabricCoordinator:
         """EOF/reset/malformed frame/heartbeat expiry: one death path.
 
         The dead worker's outstanding lease is re-queued at the front
-        as a *probe* shard.  If the lease already was a probe, its
-        first owed index is exactly the spec that was running (probes
-        flush per record), so the death adds one ``worker_killed``
-        observation — terminal verdicts are emitted and quarantined,
-        non-terminal ones leave the suspect first in line for the next
-        probe.
+        as a *probe* shard.  The death names a suspect in two cases: a
+        worker that reported a deadline overrun names its spec, which
+        gets one ``watchdog_expired`` observation; otherwise, if the
+        lease already was a probe, its first owed index is exactly the
+        spec that was running (probes flush per record), which gets one
+        ``worker_killed`` observation.  Terminal verdicts are emitted
+        and quarantined; a non-terminal suspect is re-run in the probe.
         """
         worker = self.workers.pop(name, None)
         if worker is None:
@@ -468,13 +471,19 @@ class FabricCoordinator:
         remaining = [i for i in lease.remaining if i in self.unresolved]
         if lease.probe:
             self.lost_on_probe.add(name)
-        if lease.probe and remaining:
-            suspect = self.spec_at[remaining[0]]
+        if worker.overran is not None:
+            verdict = "watchdog_expired"
+            index = worker.overran if worker.overran in remaining else None
+        else:
+            verdict = "worker_killed"
+            index = remaining[0] if lease.probe and remaining else None
+        if index is not None:
+            suspect = self.spec_at[index]
             terminal = session.policy.single_shot or session.arbiter.observe(
-                suspect.test_id, "worker_killed"
+                suspect.test_id, verdict
             )
             observations = session.arbiter.observations(suspect.test_id) or [
-                "worker_killed"
+                verdict
             ]
             if terminal:
                 session.emit(
@@ -488,14 +497,15 @@ class FabricCoordinator:
                             **worker.context,
                             "attempt": len(observations),
                         },
+                        verdict=verdict,
                     )
                 )
                 if session.quarantine is not None:
                     session.quarantine.add(
                         suspect.test_id, suspect.function, observations
                     )
-                self.unresolved.discard(remaining[0])
-                remaining = remaining[1:]
+                self.unresolved.discard(index)
+                remaining.remove(index)
             else:
                 session.stats["retries"] += 1
         if remaining:
@@ -577,11 +587,19 @@ def coordinate(
     :class:`~repro.fabric.config.FabricConfig` (:class:`FabricError`
     for a campaign it cannot describe).
 
+    ``timeout_s`` is the per-test wall-clock deadline the workers
+    enforce: a test that overruns it ends its worker process, and the
+    spec gets a ``watchdog_expired`` observation for arbitration.
+
     Local workers are supervised: a dead one is respawned; a worker
     that dies before any work was leased raises ``RuntimeError`` (it
     cannot start); and when respawns keep dying without progress
     (:class:`~repro.fault.resilience.RespawnBreaker`) the rest of the
-    campaign degrades to the serial in-process runner.
+    campaign degrades to the serial in-process runner.  That fallback
+    has no wall-clock deadline: a leftover spec whose simulated system
+    hangs still ends on the simulator's event budget (``sim_hung``),
+    but a leftover spec that livelocks the harness itself stalls the
+    campaign, since no worker process is left to end.
     """
     if shard_size is not None and shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
@@ -614,7 +632,7 @@ def coordinate(
                 f"serial execution for {len(leftovers)} remaining specs",
                 stacklevel=2,
             )
-            campaign._run_serial(leftovers, session, timeout_s)
+            campaign._run_serial(leftovers, session)
     return session.result()
 
 

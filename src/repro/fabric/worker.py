@@ -4,9 +4,15 @@ One agent process serves one coordinator.  The control plane is an
 asyncio connection (hello/welcome, lease grants, revocations,
 heartbeats); the data plane is the same :class:`~repro.fault.executor`
 the serial path uses, running leases on a thread so the event loop keeps
-heartbeating while tests execute — which is exactly why the per-test
-watchdog has an off-main-thread fallback (see ``_watchdog`` in the
-executor).  Records travel back as batches of compact
+heartbeating while tests execute.  The event loop also enforces the
+campaign's wall-clock deadline (``FabricConfig.timeout_s``): the
+execution thread marks each test's start in the ``gate`` hook, and a
+test that overruns the deadline cannot be stopped (a thread cannot be
+cancelled), so the agent reports its spec index in one ``deadline``
+frame and ends its own process.  The coordinator turns that report into
+a ``watchdog_expired`` observation for verdict arbitration, exactly as
+it turns a worker death into a ``worker_killed`` one.  Records travel
+back as batches of compact
 :func:`~repro.fault.wire.encode_record` dicts, flushed by count and by
 time so the coordinator always sees lease progress well inside its
 lease timeout.
@@ -32,7 +38,7 @@ import time
 from repro.fabric.config import PROTOCOL_VERSION, FabricConfig, FabricError
 from repro.fabric.frames import FrameError, encode_frame, read_frame
 from repro.fault import wire
-from repro.fault.executor import TestExecutor, _kill_injected
+from repro.fault.executor import TestExecutor
 from repro.fault.plan import CompiledPlan, group_consecutive
 from repro.fault.testlog import TestRecord
 
@@ -51,8 +57,69 @@ DEFAULT_HEARTBEAT_S = 2.0
 CONNECT_ATTEMPTS = 20
 CONNECT_DELAY_S = 0.25
 
+#: Exit status of an agent that ended itself on a deadline overrun.
+DEADLINE_EXIT_STATUS = 19
+
 #: Sentinel queued by the reader task when the connection is gone.
 _CLOSED = {"type": "__closed__"}
+
+#: Fault-injection hooks for the campaign supervisor's own tests: a
+#: worker that is handed a named test id dies (or spins until the
+#: deadline ends its process) on purpose, reproducing at process level
+#: the paper's tests that killed their own harness (`XM_set_timer(1,1,1)`
+#: took TSIM down with it).  Each variable takes a comma-separated list
+#: of test ids, or ``*`` for every spec.  Ignored unless set.
+KILL_SPEC_ENV = "REPRO_KILL_SPEC"
+HANG_SPEC_ENV = "REPRO_HANG_SPEC"
+#: Directory of one-shot markers: when set, each injected kill/hang
+#: fires only the *first* time a given test id is handed to a worker
+#: (a marker file is claimed with O_CREAT|O_EXCL, so the exactly-once
+#: guarantee holds across worker respawns and processes).  Transient
+#: faults are what verdict arbitration exists to absorb — this is how
+#: its tests make a spec lethal once and innocent ever after.
+FAULT_ONCE_DIR_ENV = "REPRO_FAULT_ONCE_DIR"
+
+
+def _fault_once(test_id: str, kind: str) -> bool:
+    """Whether an injected fault should fire under the once-marker dir.
+
+    Always True when ``FAULT_ONCE_DIR_ENV`` is unset (faults repeat on
+    every run); with it set, the first caller to claim the marker file
+    fires and every later attempt stays innocent.
+    """
+    marker_dir = os.environ.get(FAULT_ONCE_DIR_ENV)
+    if not marker_dir:
+        return True
+    marker = os.path.join(marker_dir, f"{kind}-{test_id}")
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.close(fd)
+    return True
+
+
+def _fault_targets(value: str | None) -> set[str]:
+    """Parse a fault-hook env value into its set of targeted test ids."""
+    if not value:
+        return set()
+    return {target.strip() for target in value.split(",") if target.strip()}
+
+
+def _kill_injected(test_id: str) -> bool:
+    """Whether the kill-injection hook says this worker run must die."""
+    targets = _fault_targets(os.environ.get(KILL_SPEC_ENV))
+    if "*" not in targets and test_id not in targets:
+        return False
+    return _fault_once(test_id, "kill")
+
+
+def _maybe_injected_hang(test_id: str) -> None:
+    """Spin forever when the hang-injection hook names this test."""
+    targets = _fault_targets(os.environ.get(HANG_SPEC_ENV))
+    if ("*" in targets or test_id in targets) and _fault_once(test_id, "hang"):
+        while True:  # ended by the deadline, with the whole process
+            time.sleep(0.01)
 
 
 class WorkerAgent:
@@ -86,6 +153,10 @@ class WorkerAgent:
         #: after the thief died), and must run there.
         self._revoked: dict[int, set[int]] = {}
         self._revoked_lock = threading.Lock()
+        #: (lease, spec index, monotonic start) of the test the
+        #: execution thread is running, None between leases; written
+        #: by the thread's ``gate``, read by the deadline task.
+        self._running: tuple[int, int, float] | None = None
         #: (config-dict JSON, executor, spec table, plan) cached across
         #: reconnects: rebuilding the warm-boot snapshot and compiled
         #: plan is the expensive part of agent startup.
@@ -195,6 +266,19 @@ class WorkerAgent:
                 except (ConnectionError, OSError):
                     return
 
+        async def deadline_loop(timeout_s: float) -> None:
+            while True:
+                await asyncio.sleep(min(timeout_s / 4, 0.1))
+                running = self._running
+                if running is None or time.monotonic() - running[2] <= timeout_s:
+                    continue
+                report = {"type": "deadline", "lease": running[0], "index": running[1]}
+                try:
+                    await asyncio.wait_for(send(report), timeout_s)
+                except (ConnectionError, OSError, asyncio.TimeoutError):
+                    pass  # unreported, the coordinator still sees the death
+                os._exit(DEADLINE_EXIT_STATUS)
+
         async def drain_for_done() -> bool:
             # A send can fail *after* the campaign ended: the
             # coordinator's done frame may already sit in the incoming
@@ -208,8 +292,12 @@ class WorkerAgent:
                 if frame.get("type") == "done":
                     return True
 
-        reader_task = asyncio.create_task(read_loop())
-        beat_task = asyncio.create_task(heartbeat_loop())
+        tasks = [
+            asyncio.create_task(read_loop()),
+            asyncio.create_task(heartbeat_loop()),
+        ]
+        if state[1].timeout_s:
+            tasks.append(asyncio.create_task(deadline_loop(state[1].timeout_s)))
         try:
             while True:
                 await send({"type": "lease-request"})
@@ -222,8 +310,8 @@ class WorkerAgent:
         except (ConnectionError, OSError):
             return await drain_for_done()
         finally:
-            reader_task.cancel()
-            beat_task.cancel()
+            for task in tasks:
+                task.cancel()
 
     def _build_state(self, config_dict: dict) -> tuple:
         """Executor + spec table + plan for one config, reconnect-cached."""
@@ -240,7 +328,6 @@ class WorkerAgent:
             kernel_version=config.kernel_version,
             frames=config.frames,
             warm_boot=config.warm_boot,
-            timeout_s=config.timeout_s,
             delta_reset=config.delta_reset,
             journal_budget=config.journal_budget,
             verify_reset=config.verify_reset,
@@ -297,17 +384,18 @@ class WorkerAgent:
                 self._run_indices, config, executor, table, plan,
                 lease_no, indices, flush_n, submit,
             )
-            # Every write was queued with call_soon_threadsafe before
-            # to_thread resolved (FIFO), so the records precede this.
-            done_frame = {"type": "lease-done", "lease": lease_no}
-            if stats:
-                done_frame["stats"] = stats
-            if phases:
-                done_frame["phases"] = phases
-            await send(done_frame)
         finally:
+            self._running = None  # the lease is over: no deadline runs
             with self._revoked_lock:
                 self._revoked.pop(lease_no, None)
+        # Every write was queued with call_soon_threadsafe before
+        # to_thread resolved (FIFO), so the records precede this.
+        done_frame = {"type": "lease-done", "lease": lease_no}
+        if stats:
+            done_frame["stats"] = stats
+        if phases:
+            done_frame["phases"] = phases
+        await send(done_frame)
 
     def _run_indices(
         self,
@@ -345,13 +433,17 @@ class WorkerAgent:
             with self._revoked_lock:
                 return index in self._revoked.get(lease_no, ())
 
-        def gate(test_id: str) -> None:
+        def gate(index: int, test_id: str) -> None:
+            # The deadline clock of this test starts here.
+            self._running = (lease_no, index, time.monotonic())
             if _kill_injected(test_id):
                 os._exit(17)  # fault injection: die like a harness-killing test
+            _maybe_injected_hang(test_id)
 
         if plan is not None:
             live = [(i, plan.entries[i]) for i in indices]
             if config.batch_hypercalls:
+                index_of = {entry.test_id: i for i, entry in live}
                 for group in _group_pairs(live):
                     # Lazy, so an index revoked while its group runs is
                     # skipped rather than run twice (here and by the
@@ -359,20 +451,20 @@ class WorkerAgent:
                     executor.run_group(
                         (e for i, e in group if not skip(i)),
                         emit=lambda _e, r: emit_record(r),
-                        gate=lambda e: gate(e.test_id),
+                        gate=lambda e: gate(index_of[e.test_id], e.test_id),
                     )
             else:
                 for index, entry in live:
                     if skip(index):
                         continue
-                    gate(entry.test_id)
+                    gate(index, entry.test_id)
                     emit_record(executor.run_planned(entry))
         else:
             for index in indices:
                 if skip(index):
                     continue
                 spec = table[index]
-                gate(spec.test_id)
+                gate(index, spec.test_id)
                 emit_record(executor.run(spec))
         if pending:
             submit(pending[:])

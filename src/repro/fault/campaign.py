@@ -20,8 +20,9 @@ Execution is also *durable*: ``log_path`` checkpoints every record to a
 JSONL stream the moment it arrives, the fabric supervises its workers (a
 test that kills its worker is logged as a ``worker_killed`` record and
 the worker is respawned — robustness tests kill their own harness, as
-the paper's ``XM_set_timer(1,1,1)`` did to TSIM), and ``timeout_s`` arms
-a per-test wall-clock watchdog.  An interrupted campaign resumes
+the paper's ``XM_set_timer(1,1,1)`` did to TSIM), and ``timeout_s`` is
+a per-test wall-clock deadline enforced in a worker process, so a
+campaign with one runs on the fabric.  An interrupted campaign resumes
 losslessly from its own partial stream via ``resume_from``.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.fault import wire
 from repro.fault.apimodel import ApiFunction, ApiModel, api_model_from_table
@@ -56,9 +57,6 @@ from repro.fault.session import (  # ResumeMismatch: re-exported
 )
 from repro.fault.testlog import CampaignLog, TestRecord
 from repro.xm.vulns import VULNERABLE_VERSION
-
-if TYPE_CHECKING:  # the executor loads the simulator: run paths import it
-    from repro.fault.executor import TestExecutor
 
 @dataclass
 class HypercallSuite:
@@ -186,8 +184,8 @@ class Campaign:
     #: through a single armed simulator loop (snapshot resolved and
     #: journal armed once per group).  Only meaningful under
     #: ``compiled_plan``; the executor falls back to per-spec execution
-    #: whenever a watchdog, audit, or reset-ladder degradation needs
-    #: per-test bracketing.
+    #: whenever an audit or reset-ladder degradation needs per-test
+    #: bracketing.
     batch_hypercalls: bool = True
     #: Run every planned spec through the uncompiled path too and
     #: require field-for-field record identity; raises on divergence.
@@ -297,7 +295,8 @@ class Campaign:
     ) -> CampaignResult:
         """Execute the campaign and analyse the logs.
 
-        ``processes=None`` runs serially in-process.  An integer runs the
+        ``processes=None`` runs serially in-process (one worker process
+        under ``timeout_s``, see below).  An integer runs the
         campaign on the fabric (:func:`repro.fabric.coordinate`) with
         that many local worker processes connected over loopback
         sockets: the coordinator leases *shards* — batches of indices
@@ -329,7 +328,13 @@ class Campaign:
         without ``resume_from`` raises ``ValueError``.  ``log_fsync``
         follows every checkpoint flush with ``os.fsync``, extending
         durability from process crashes to host power loss.
-        ``timeout_s`` arms a per-test wall-clock watchdog.
+
+        ``timeout_s`` is a per-test wall-clock deadline.  A thread cannot
+        be cancelled, so it is enforced by a worker process: without
+        ``processes`` the campaign runs on one loopback worker
+        (``coordinate(workers=1)``).  A test that overruns the deadline
+        ends its worker, which is respawned, and the spec gets a
+        ``watchdog_expired`` observation for arbitration.
 
         ``retry_policy`` controls verdict arbitration (see
         :class:`~repro.fault.resilience.RetryPolicy`): by default a
@@ -346,12 +351,15 @@ class Campaign:
         ``KeyboardInterrupt`` from the hook stops it (see
         :class:`~repro.fault.session.CampaignSession`).
         """
+        if timeout_s and processes is None:
+            processes = 1  # the deadline lives in a worker process
         if processes is not None:
             if processes < 1:
                 raise ValueError(f"processes must be >= 1, got {processes}")
             if self.system_factory is not None:
                 raise ValueError(
-                    "process-parallel execution supports only the default testbed"
+                    "worker-process execution (processes, timeout_s) "
+                    "supports only the default testbed"
                 )
             from repro.fabric.coordinator import coordinate
 
@@ -371,15 +379,10 @@ class Campaign:
             self, progress, resume_from, log_path, retry_policy,
             quarantine_path, log_fsync,
         ) as session:
-            self._run_serial(session.remaining, session, timeout_s)
+            self._run_serial(session.remaining, session)
         return session.result()
 
-    def _run_serial(
-        self,
-        specs: list[TestCallSpec],
-        session: CampaignSession,
-        timeout_s: float | None = None,
-    ) -> None:
+    def _run_serial(self, specs: list[TestCallSpec], session: CampaignSession) -> None:
         """The serial executor: run ``specs`` in-process into ``session``."""
         from repro.fault.executor import TestExecutor
 
@@ -388,7 +391,6 @@ class Campaign:
             frames=self.frames,
             system_factory=self.system_factory,
             warm_boot=self.warm_boot,
-            timeout_s=timeout_s,
             delta_reset=self.delta_reset,
             journal_budget=self.journal_budget,
             verify_reset=self.verify_reset,
@@ -397,69 +399,28 @@ class Campaign:
         )
         if specs:
             # Boot before the first spec, as fabric workers do, so no
-            # test's watchdog pays for the warm-boot snapshot.
+            # test's record pays for the warm-boot snapshot.
             executor.prepare()
-        finish = session.emit
+        deliver = session.deliver
         try:
             if self.compiled_plan:
                 plan = self.plan()
                 entries = [plan.by_id[spec.test_id] for spec in specs]
-
-                def emit(entry, record: TestRecord) -> None:  # noqa: ANN001
-                    finish(
-                        self._arbitrated_serial_run(
-                            executor, entry.spec, session, record
-                        )
-                    )
-
                 if self.batch_hypercalls:
                     for group in group_consecutive(entries):
-                        executor.run_group(group, emit=emit)
+                        executor.run_group(
+                            group, emit=lambda _entry, record: deliver(record)
+                        )
                 else:
                     for entry in entries:
-                        emit(entry, executor.run_planned(entry))
+                        deliver(executor.run_planned(entry))
             else:
                 for spec in specs:
-                    finish(self._arbitrated_serial_run(executor, spec, session))
+                    deliver(executor.run(spec))
         finally:
             merge_reset_modes(session.stats, executor.reset_stats)
             if self.profile:
                 merge_phase_times(session.stats, executor.phase_times)
-
-    def _arbitrated_serial_run(
-        self,
-        executor: TestExecutor,
-        spec: TestCallSpec,
-        session: CampaignSession,
-        record: TestRecord | None = None,
-    ) -> TestRecord:
-        """One serial run, re-trying watchdog verdicts up to the quorum.
-
-        The only process-level verdict the in-process runner can see is
-        ``watchdog_expired`` (nothing kills a worker — there is none);
-        a suspect expiry is re-run until the quorum agrees, the attempt
-        budget runs out, or a re-run completes and wins outright.  A
-        planned/batched record enters arbitration via ``record`` —
-        re-runs always take the unplanned per-spec path, so a suspect
-        verdict is re-checked outside the machinery under suspicion.
-        """
-        if record is None:
-            record = executor.run(spec)
-        policy, arbiter = session.policy, session.arbiter
-        if not policy.single_shot:
-            while record.watchdog_expired and not arbiter.observe(
-                spec.test_id, "watchdog_expired"
-            ):
-                policy.backoff(len(arbiter.observations(spec.test_id)))
-                record = executor.run(spec)
-            arbiter.annotate(record)
-        if record.watchdog_expired:
-            record.host_context = {
-                "processes": 1,
-                "shard_size": 1,
-                "attempt": record.attempts,
-            }
-        return record
 
     # -- analysis -----------------------------------------------------------
 

@@ -26,24 +26,23 @@ and is disabled automatically — with a cold fallback — when a custom
 ``system_factory`` is installed or the packed software turns out not to
 be snapshottable.
 
-Process isolation (worker processes separate from the campaign,
-faithful to the paper's one-TSIM-per-test shell scripts) is provided by
-the fabric's worker agents (:mod:`repro.fabric.worker`): each worker
-process holds one executor, builds its snapshot once and reuses it for
-every lease of spec-table indices it is handed.  An optional wall-clock
-watchdog (``timeout_s``) turns a runaway run into a ``sim_hung``-style
-record instead of a stalled campaign.
+Every verdict the executor returns comes from what the simulation
+did: a hung system is the simulator's deterministic event budget
+(``sim_hung``), never a wall clock.  Process isolation (worker processes
+separate from the campaign, faithful to the paper's one-TSIM-per-test
+shell scripts) is provided by the fabric's worker agents
+(:mod:`repro.fabric.worker`): each worker process holds one executor,
+builds its snapshot once and reuses it for every lease of spec-table
+indices it is handed.  The campaign's wall-clock deadline
+(``timeout_s``) lives there too: a test that overruns it ends its
+worker process, and the coordinator logs the spec with
+:func:`worker_killed_record`.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.fault import failpoints
 from repro.fault.mutant import TestCallSpec, TestPartitionLayout, default_layout
@@ -53,6 +52,7 @@ from repro.fault.plan import (
     CompiledPlan,
     PlanEntry,
 )
+from repro.fault.resilience import VERDICT_FLAGS
 from repro.fault.testlog import Invocation, TestRecord, capture_state
 from repro.testbed import build_system
 from repro.testbed.builder import FDIR_SLOT_HOOK
@@ -69,57 +69,6 @@ from repro.xm.vulns import VULNERABLE_VERSION
 
 #: Console lines kept in the record.
 CONSOLE_TAIL = 8
-
-#: Fault-injection hooks for the campaign supervisor's own tests: a
-#: worker that is handed a named test id dies (or spins until the
-#: watchdog fires) on purpose, reproducing at process level the paper's
-#: tests that killed their own harness (`XM_set_timer(1,1,1)` took TSIM
-#: down with it).  Each variable takes a comma-separated list of test
-#: ids, or ``*`` for every spec.  Ignored unless set.
-KILL_SPEC_ENV = "REPRO_KILL_SPEC"
-HANG_SPEC_ENV = "REPRO_HANG_SPEC"
-#: Directory of one-shot markers: when set, each injected kill/hang
-#: fires only the *first* time a given test id is handed to a worker
-#: (a marker file is claimed with O_CREAT|O_EXCL, so the exactly-once
-#: guarantee holds across worker respawns and processes).  Transient
-#: faults are what verdict arbitration exists to absorb — this is how
-#: its tests make a spec lethal once and innocent ever after.
-FAULT_ONCE_DIR_ENV = "REPRO_FAULT_ONCE_DIR"
-
-
-def _fault_once(test_id: str, kind: str) -> bool:
-    """Whether an injected fault should fire under the once-marker dir.
-
-    Always True when ``FAULT_ONCE_DIR_ENV`` is unset (faults repeat on
-    every run); with it set, the first caller to claim the marker file
-    fires and every later attempt stays innocent.
-    """
-    marker_dir = os.environ.get(FAULT_ONCE_DIR_ENV)
-    if not marker_dir:
-        return True
-    marker = os.path.join(marker_dir, f"{kind}-{test_id}")
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    os.close(fd)
-    return True
-
-
-def _fault_targets(value: str | None) -> set[str]:
-    """Parse a fault-hook env value into its set of targeted test ids."""
-    if not value:
-        return set()
-    return {target.strip() for target in value.split(",") if target.strip()}
-
-
-def _kill_injected(test_id: str) -> bool:
-    """Whether the kill-injection hook says this worker run must die."""
-    targets = _fault_targets(os.environ.get(KILL_SPEC_ENV))
-    if "*" not in targets and test_id not in targets:
-        return False
-    return _fault_once(test_id, "kill")
-
 
 class ResetVerifyError(RuntimeError):
     """``--verify-reset``: a delta-path record diverged from full restore."""
@@ -143,146 +92,6 @@ class PlanVerifyError(RuntimeError):
         )
         self.test_id = test_id
         self.field_name = field_name
-
-
-class WatchdogExpired(Exception):
-    """A test run exceeded the executor's wall-clock budget.
-
-    ``timeout_s`` defaults to None because the timer-thread watchdog
-    delivers this exception asynchronously via
-    ``PyThreadState_SetAsyncExc``, which instantiates the class with no
-    arguments.
-    """
-
-    def __init__(self, timeout_s: float | None = None) -> None:
-        budget = f"{timeout_s}s" if timeout_s is not None else "wall-clock"
-        super().__init__(f"test run exceeded the {budget} watchdog")
-        self.timeout_s = timeout_s
-
-
-class _ThreadWatchdog:
-    """Timer-thread watchdog for executors running off the main thread.
-
-    ``signal.setitimer`` raises ``ValueError`` anywhere but the main
-    thread, and the fabric worker agent runs its executor in a thread
-    spawned from the asyncio event loop — so off the main thread the
-    deadline is enforced by a daemon :class:`threading.Timer` that
-    raises :class:`WatchdogExpired` *inside the guarded thread* via
-    ``PyThreadState_SetAsyncExc`` (delivered at the next bytecode
-    boundary, which interrupts a Python-level livelock exactly like the
-    SIGALRM path does).  ``disarm`` both cancels the timer and clears a
-    fired-but-not-yet-delivered exception, so a test that finished just
-    under the deadline cannot have its completed record destroyed by a
-    late delivery.
-    """
-
-    def __init__(self, timeout_s: float, thread_id: int) -> None:
-        self._thread_id = thread_id
-        self._lock = threading.Lock()
-        self._fired = False
-        self._disarmed = False
-        self._timer = threading.Timer(timeout_s, self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def _fire(self) -> None:
-        import ctypes
-
-        with self._lock:
-            if self._disarmed:
-                return
-            self._fired = True
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(self._thread_id),
-                ctypes.py_object(WatchdogExpired),
-            )
-
-    def disarm(self) -> None:
-        """Cancel the timer and retract a fired-but-undelivered raise."""
-        import ctypes
-
-        with self._lock:
-            self._disarmed = True
-            self._timer.cancel()
-            if self._fired:
-                # Clear a pending (undelivered) async exception; a
-                # no-op when it was already delivered and caught.
-                ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                    ctypes.c_ulong(self._thread_id), None
-                )
-                self._fired = False
-
-
-#: The active watchdog of each non-main thread (see ``_disarm_watchdog``).
-_THREAD_WATCHDOG = threading.local()
-
-
-@contextmanager
-def _watchdog(timeout_s: float | None) -> Iterator[None]:
-    """Raise :class:`WatchdogExpired` in-thread after ``timeout_s``.
-
-    SIGALRM-based on the main thread of a process (the serial runner);
-    off the main thread — a fabric worker agent running the executor
-    from its event loop's thread pool — it falls back to a
-    :class:`_ThreadWatchdog` timer thread instead of silently running
-    unguarded.  Either way a runaway test (a livelock the event budget
-    cannot see, e.g. one spinning outside the simulator) is interrupted
-    instead of hanging the campaign.
-    """
-    if not timeout_s:
-        yield
-        return
-    if (
-        not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        ident = threading.get_ident()
-        watchdog = _ThreadWatchdog(timeout_s, ident)
-        _THREAD_WATCHDOG.active = watchdog
-        try:
-            yield
-        finally:
-            _THREAD_WATCHDOG.active = None
-            watchdog.disarm()
-        return
-
-    def _fire(signum, frame):  # noqa: ANN001 - signal handler signature
-        raise WatchdogExpired(timeout_s)
-
-    previous = signal.signal(signal.SIGALRM, _fire)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _disarm_watchdog() -> None:
-    """Stop a pending watchdog before the run's grace period expires.
-
-    Called as soon as the run phase is over: a test that completed just
-    under the deadline must not have its finished record discarded — or
-    its snapshot recycling aborted midway — by the timer firing during
-    record building.  Idempotent with the context manager's own disarm;
-    covers both the SIGALRM path and the timer-thread fallback.
-    """
-    if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-    active = getattr(_THREAD_WATCHDOG, "active", None)
-    if active is not None:
-        active.disarm()
-
-
-def _maybe_injected_hang(test_id: str) -> None:
-    """Spin forever when the hang-injection hook names this test."""
-    targets = _fault_targets(os.environ.get(HANG_SPEC_ENV))
-    if ("*" in targets or test_id in targets) and _fault_once(test_id, "hang"):
-        while True:  # interrupted by the watchdog's SIGALRM
-            time.sleep(0.01)
 
 
 @dataclass(frozen=True)
@@ -399,7 +208,6 @@ class TestExecutor:
         system_factory=None,
         warm_boot: bool = True,
         snapshot_cache: SnapshotCache | None = None,
-        timeout_s: float | None = None,
         delta_reset: bool = True,
         journal_budget: int | None = DEFAULT_JOURNAL_BUDGET,
         verify_reset: bool = False,
@@ -408,8 +216,6 @@ class TestExecutor:
     ) -> None:
         self.kernel_version = kernel_version
         self.frames = frames
-        #: Per-test wall-clock watchdog; None disables it.
-        self.timeout_s = timeout_s
         self.layout = layout if layout is not None else default_layout()
         #: Builds (payload, version) -> Simulator; defaults to EagleEye.
         #: Swapping it retargets the whole campaign to another testbed
@@ -496,20 +302,9 @@ class TestExecutor:
     # -- execution ---------------------------------------------------------
 
     def run(self, spec: TestCallSpec) -> TestRecord:
-        """Execute one test case and log the outcome.
-
-        With ``timeout_s`` set, a runaway run is interrupted by the
-        wall-clock watchdog and logged as a hung (``sim_hung``) record
-        instead of stalling the campaign.
-        """
+        """Execute one test case and log the outcome."""
         failpoints.fire("executor.run")
-        started = time.perf_counter()
-        try:
-            with _watchdog(self.timeout_s):
-                _maybe_injected_hang(spec.test_id)
-                return self._execute(spec, started)
-        except WatchdogExpired:
-            return self._watchdog_record(spec, started)
+        return self._execute(spec, time.perf_counter())
 
     # -- compiled-plan execution -------------------------------------------
 
@@ -520,13 +315,7 @@ class TestExecutor:
     def run_planned(self, entry: PlanEntry) -> TestRecord:
         """Planned-path :meth:`run`: same semantics, precomputed facts."""
         failpoints.fire("executor.run")
-        started = time.perf_counter()
-        try:
-            with _watchdog(self.timeout_s):
-                _maybe_injected_hang(entry.test_id)
-                record = self._execute(entry.spec, started, entry)
-        except WatchdogExpired:
-            return self._watchdog_record(entry.spec, started)
+        record = self._execute(entry.spec, time.perf_counter(), entry)
         if self.verify_plan:
             self._verify_against_unplanned(entry, record)
         return record
@@ -539,18 +328,17 @@ class TestExecutor:
         reverted in place between tests — only the per-test arm and the
         run itself are paid per spec.  Order and per-test semantics are
         identical to calling :meth:`run_planned` per entry; campaigns
-        fall back to exactly that per-spec path whenever a per-test
-        wall-clock watchdog or a verification audit is armed (the
-        watchdog must bracket one test, and the audits interleave
+        fall back to exactly that per-spec path whenever the delta rung
+        is off or a verification audit is armed (the audits interleave
         reference runs the shared loop must not absorb).
 
         ``emit(entry, record)`` fires as each record exists (streamed
         checkpoints keep per-test granularity); ``gate(entry)`` fires
-        before each test (the worker agent's kill-injection hook).
+        before each test (the worker agent's deadline mark and fault
+        injection hooks).
         """
         if (
             not (self.warm_boot and self.delta_reset)
-            or self.timeout_s
             or self.verify_reset
             or self.verify_plan
         ):
@@ -575,7 +363,6 @@ class TestExecutor:
                 gate(entry)
             failpoints.fire("executor.run")
             started = time.perf_counter()
-            _maybe_injected_hang(entry.test_id)
             try:
                 record = self._run_on_snapshot(
                     entry.spec, started, snapshot, key, primary=True, entry=entry
@@ -670,10 +457,6 @@ class TestExecutor:
                 crashed = True
             except SimulatorHang:
                 hung = True
-            # The run phase is over; the completed test's record and the
-            # snapshot recycle must not race a late watchdog SIGALRM.
-            if self.timeout_s:
-                _disarm_watchdog()
             if prof:
                 t1 = time.perf_counter()
                 self.phase_times["run"] += t1 - t0
@@ -694,10 +477,10 @@ class TestExecutor:
             return record
         finally:
             # Pooled buffers must come back on every exit path — a
-            # raising _build_record (or the watchdog, or an injected
-            # recycle fault) must not leak the restored simulator's
-            # memory.  A kept simulator owns its buffers until the next
-            # test takes it over.
+            # raising _build_record (or an injected recycle fault) must
+            # not leak the restored simulator's memory.  A kept
+            # simulator owns its buffers until the next test takes it
+            # over.
             try:
                 failpoints.fire("executor.recycle")
             finally:
@@ -795,8 +578,6 @@ class TestExecutor:
             crashed = True
         except SimulatorHang:
             hung = True
-        if self.timeout_s:
-            _disarm_watchdog()
         if prof:
             t1 = time.perf_counter()
             self.phase_times["run"] += t1 - t0
@@ -807,20 +588,6 @@ class TestExecutor:
         if prof:
             self.phase_times["record"] += time.perf_counter() - t0
         return record
-
-    def _watchdog_record(self, spec: TestCallSpec, started: float) -> TestRecord:
-        """A sim-hung-style record for a run the watchdog had to kill."""
-        return TestRecord(
-            test_id=spec.test_id,
-            function=spec.function,
-            category=spec.category,
-            arg_labels=spec.arg_labels(),
-            sim_hung=True,
-            watchdog_expired=True,
-            kernel_version=self.kernel_version,
-            frames=self.frames,
-            wall_time_s=time.perf_counter() - started,
-        )
 
     def _build_record(
         self,
@@ -895,24 +662,28 @@ def worker_killed_record(
     attempts: int = 1,
     arbitrated: bool = False,
     host_context: dict | None = None,
+    verdict: str = "worker_killed",
 ) -> TestRecord:
     """Parent-side record for a spec whose run killed its worker.
 
     The worker is dead, so nothing was observed beyond the kill itself;
     the supervisor logs the spec as a first-class ``worker_killed``
     outcome (the process-level analogue of the paper's simulator-crash
-    failure mode) and the campaign carries on.  ``attempts`` /
-    ``arbitrated`` carry the verdict-arbitration provenance and
-    ``host_context`` the worker and lease shape the kills were observed
-    under, so triage can separate kernel-caused deaths from host-load
-    artefacts.
+    failure mode) and the campaign carries on.  ``verdict`` names how
+    the worker died: ``"watchdog_expired"`` is a test that overran the
+    campaign's wall-clock deadline, so its worker ended itself, and the
+    record is a hung run (``sim_hung`` and ``watchdog_expired``).
+    ``attempts`` / ``arbitrated`` carry the verdict-arbitration
+    provenance and ``host_context`` the worker and lease shape the
+    deaths were observed under, so triage can separate kernel-caused
+    deaths from host-load artefacts.
     """
     return TestRecord(
         test_id=spec.test_id,
         function=spec.function,
         category=spec.category,
         arg_labels=spec.arg_labels(),
-        worker_killed=True,
+        **VERDICT_FLAGS[verdict],
         kernel_version=kernel_version,
         frames=frames,
         attempts=attempts,

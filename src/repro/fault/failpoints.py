@@ -54,9 +54,9 @@ SITES: dict[str, tuple[str, ...]] = {
     "wire.decode": ("raise", "delay"),
 }
 
-#: Exit status used by the ``kill`` action (distinct from the
-#: executor's ``REPRO_KILL_SPEC`` status 17, so a post-mortem can tell
-#: an injected harness kill from an injected test kill).
+#: Exit status used by the ``kill`` action (distinct from the worker
+#: agent's ``REPRO_KILL_SPEC`` status 17, so a post-mortem can tell an
+#: injected harness kill from an injected test kill).
 KILL_STATUS = 23
 
 

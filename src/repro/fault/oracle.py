@@ -164,15 +164,6 @@ class ReferenceOracle:
         """
         return self._expect(spec, (spec.function, spec.arg_labels()), state)
 
-    def expect_planned(self, entry) -> Expectation:  # noqa: ANN001 - plan.PlanEntry
-        """Expectation for a compiled plan entry.
-
-        Identical to :meth:`expect` on ``entry.spec``, but keys the
-        memo with the label tuple the plan already computed instead of
-        rebuilding it per record (or per miss).
-        """
-        return self._expect(entry.spec, (entry.function, entry.arg_labels))
-
     def verdict(
         self, record: TestRecord, spec: TestCallSpec, key: tuple | None = None
     ) -> tuple[Expectation, Classification]:

@@ -1,7 +1,7 @@
 """Resilient verdicts: retry-with-quorum, killer quarantine, respawn breaker.
 
 Campaign *execution* is durable (streaming log, supervised workers,
-watchdog); this module makes the *verdicts* durable.  Terminal
+worker deadline); this module makes the *verdicts* durable.  Terminal
 process-level outcomes — ``worker_killed`` and ``watchdog_expired`` —
 were previously issued from a single observation, so one host-load
 artefact (an OOM kill, a scheduler stall past the watchdog) was
@@ -31,6 +31,14 @@ from pathlib import Path
 
 from repro.fault.testlog import TestRecord, atomic_write_text
 
+#: The record flags of each terminal process-level verdict.  The worker
+#: is gone, so the verdict is the whole observation; a deadline overrun
+#: is a hung run.
+VERDICT_FLAGS: dict[str, dict[str, bool]] = {
+    "worker_killed": {"worker_killed": True},
+    "watchdog_expired": {"sim_hung": True, "watchdog_expired": True},
+}
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -40,8 +48,7 @@ class RetryPolicy:
     of ``worker_killed`` / ``watchdog_expired`` is only issued once
     ``quorum`` lethal observations agree (a run that completes normally
     ends arbitration at once — the host could run it, so the earlier
-    observation was an artefact).  ``backoff_s`` sleeps between repeat
-    attempts of the same spec, scaled by the observation count.
+    observation was an artefact).
 
     The defaults re-run a suspect once: two agreeing observations make
     the verdict.  ``max_attempts=1`` (or ``quorum=1``) restores the
@@ -50,7 +57,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     quorum: int = 2
-    backoff_s: float = 0.0
 
     def __post_init__(self) -> None:
         """Validate the attempt/quorum shape."""
@@ -61,18 +67,11 @@ class RetryPolicy:
                 f"quorum must be in 1..max_attempts, got {self.quorum} "
                 f"with max_attempts={self.max_attempts}"
             )
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
 
     @property
     def single_shot(self) -> bool:
         """Whether the first lethal observation is already terminal."""
         return self.max_attempts == 1 or self.quorum == 1
-
-    def backoff(self, observations: int) -> None:
-        """Sleep before the next attempt of a spec observed lethal N times."""
-        if self.backoff_s:
-            time.sleep(self.backoff_s * max(1, observations))
 
 
 class VerdictArbiter:
@@ -233,23 +232,23 @@ def quarantined_record(
 ) -> TestRecord:
     """A skipped-without-execution record for a quarantined spec.
 
-    The spec is a *known* killer, so the record keeps the
-    ``worker_killed`` verdict (the issue must not vanish from the
-    analysis just because the spec was not re-fed to a worker) and marks
-    ``quarantined`` so triage can tell a fresh kill from a skip.
+    The spec is a *known* killer, so the record keeps the verdict it was
+    quarantined with — the last observation, ``worker_killed`` for an
+    entry that lists none — so the issue does not vanish from the
+    analysis just because the spec was not re-fed to a worker; it marks
+    ``quarantined`` so triage can tell a fresh verdict from a skip.
     """
+    observations = list((entry or {}).get("observations", ()))
+    verdict = observations[-1] if observations else "worker_killed"
     record = TestRecord(
         test_id=spec.test_id,
         function=spec.function,
         category=spec.category,
         arg_labels=spec.arg_labels(),
-        worker_killed=True,
+        **VERDICT_FLAGS.get(verdict, VERDICT_FLAGS["worker_killed"]),
         quarantined=True,
         kernel_version=kernel_version,
         frames=frames,
     )
-    record.host_context = {
-        "quarantined": True,
-        "observations": list((entry or {}).get("observations", ())),
-    }
+    record.host_context = {"quarantined": True, "observations": observations}
     return record

@@ -6,10 +6,11 @@ specs — the serial in-process runner or the fabric's leased workers.
 resume split (validated, :class:`ResumeMismatch`), quarantine
 skip-with-record, the execution stats, the streaming checkpoint and its
 stats trailer (written even on interrupt), the hardened progress and
-checkpoint callbacks, verdict arbitration of relayed records, and the
-merge into spec order before analysis.  Executors hand every finished
-record to :meth:`CampaignSession.emit` (or ``deliver``, which arbitrates
-first), so the result is identical whether the specs ran serially, in
+checkpoint callbacks, the arbitration provenance of executed records,
+and the merge into spec order before analysis.  Executors hand every
+record they ran to :meth:`CampaignSession.deliver` and every terminal
+record they built themselves to :meth:`CampaignSession.emit`, so the
+result is identical whether the specs ran serially, in
 parallel, or across an interrupt and resume.
 """
 
@@ -250,28 +251,17 @@ class CampaignSession:
             except Exception as exc:
                 self._suppress("progress", exc)
 
-    def deliver(self, record: TestRecord, host_context: dict) -> bool:
-        """Arbitrate a record relayed by a worker, then emit it.
+    def deliver(self, record: TestRecord, host_context: dict | None = None) -> None:
+        """Emit an executed record with its provenance.
 
-        A suspect ``watchdog_expired`` verdict is withheld (False) until
-        a quorum of observations agrees, and the caller re-runs its
-        spec; everything else is annotated with its arbitration
-        provenance, tagged with ``host_context`` (plus the attempt, on
-        a watchdog verdict) and emitted (True).
+        The record is annotated with its arbitration provenance (a spec
+        that earlier runs observed lethal consumed those runs too) and
+        tagged with ``host_context``, the worker and lease shape it ran
+        under (None in-process).
         """
-        if record.watchdog_expired:
-            if not self.policy.single_shot and not self.arbiter.observe(
-                record.test_id, "watchdog_expired"
-            ):
-                self.stats["retries"] += 1
-                return False
-            self.arbiter.annotate(record)
-            host_context = {**host_context, "attempt": record.attempts}
-        else:
-            self.arbiter.annotate(record)
+        self.arbiter.annotate(record)
         record.host_context = host_context
         self.emit(record)
-        return True
 
     def _suppress(self, kind: str, exc: Exception) -> None:
         if kind not in self._warned:

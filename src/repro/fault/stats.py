@@ -71,8 +71,8 @@ def durability_summary(log: CampaignLog) -> dict[str, int]:
     """Counts of the process-level outcomes the campaign supervisor sees.
 
     ``worker_killed`` are tests that took their worker process down;
-    ``watchdog_expired`` are runaway runs aborted by the wall-clock
-    watchdog (a subset of ``sim_hung``).  ``arbitrated`` counts
+    ``watchdog_expired`` are runaway runs whose worker the wall-clock
+    deadline ended (a subset of ``sim_hung``).  ``arbitrated`` counts
     verdicts that went through retry-with-quorum arbitration (more than
     one run consumed), ``retried_runs`` the extra runs arbitration
     spent beyond one per record, and ``quarantined`` the known killers

@@ -345,7 +345,9 @@ class TestRecord:
     #: analogue of the paper's simulator-crash failure mode); built by
     #: the campaign supervisor, not by an executor.
     worker_killed: bool = False
-    #: The run exceeded the per-test wall-clock watchdog and was aborted.
+    #: The run overran the per-test wall-clock deadline, which ended its
+    #: worker process; built by the campaign supervisor, like
+    #: ``worker_killed``.
     watchdog_expired: bool = False
     #: Runs this verdict consumed (see resilience.VerdictArbiter); 1
     #: means the first observation was accepted without arbitration.

@@ -8,6 +8,12 @@ from repro.testbed import build_system
 from repro.testbed.eagleeye import partition_area_base
 from repro.xm.vulns import FIXED_VERSION, VULNERABLE_VERSION
 
+#: Wall-clock deadline (``timeout_s``) of the hang tests.  The injected
+#: hangs spin until it ends their worker; a clean spec takes 0.07-0.27 s
+#: on a 2-CPU host, so 1.5 s keeps innocent specs clear of it on slower
+#: hosts.
+HANG_BUDGET_S = 1.5
+
 
 class BootedSystem:
     """A booted EagleEye system with direct hypercall access."""

@@ -12,11 +12,12 @@ import multiprocessing
 
 import pytest
 
+from repro.fabric.worker import KILL_SPEC_ENV
 from repro.fault.campaign import Campaign
-from repro.fault.executor import KILL_SPEC_ENV, PlanVerifyError, TestExecutor
+from repro.fault.executor import PlanVerifyError, TestExecutor
 from repro.fault.mutant import ArgSpec, TestCallSpec, default_layout
 from repro.fault.plan import CompiledPlan, group_consecutive
-from repro.fault.testlog import CampaignLog
+from repro.fault.testlog import CampaignLog, TestRecord
 from repro.xm import rc
 
 #: The three hypercalls carrying the paper's findings: 62 tests, 9 issues.
@@ -140,15 +141,23 @@ class TestPlanConstruction:
 
 
 class TestPlannedOracle:
-    def test_expect_planned_equals_expect(self):
+    @staticmethod
+    def entry_verdict(oracle, entry):
+        record = TestRecord(entry.test_id, entry.function, entry.category)
+        expectation, _classification = oracle.verdict(
+            record, entry.spec, (entry.function, entry.arg_labels)
+        )
+        return expectation
+
+    def test_verdict_with_entry_key_equals_expect(self):
         from repro.fault.oracle import ReferenceOracle
 
         campaign = Campaign(functions=TRIO)
         oracle = ReferenceOracle(campaign.kernel_version, campaign.oracle_context)
         for entry in campaign.plan().entries:
-            assert oracle.expect_planned(entry) == oracle.expect(entry.spec)
+            assert self.entry_verdict(oracle, entry) == oracle.expect(entry.spec)
 
-    def test_expect_planned_reuses_the_entry_labels(self, monkeypatch):
+    def test_verdict_with_entry_key_reuses_the_entry_labels(self, monkeypatch):
         from repro.fault.oracle import ReferenceOracle
 
         campaign = Campaign(functions=TRIO)
@@ -162,7 +171,7 @@ class TestPlannedOracle:
 
         monkeypatch.setattr(TestCallSpec, "arg_labels", rebuilt)
         oracle = ReferenceOracle(campaign.kernel_version)  # every entry misses once
-        assert [oracle.expect_planned(e) for e in entries] == expected
+        assert [self.entry_verdict(oracle, e) for e in entries] == expected
 
 
 # -- planned == unplanned identity -------------------------------------------
@@ -268,27 +277,6 @@ class TestBatchFallbacks:
         assert stream(batched) == stream(unbatched)
         skipped = [r for r in batched.log if r.quarantined]
         assert sorted(r.test_id for r in skipped) == sorted(victims)
-
-    def test_watchdog_forces_per_spec_path(self):
-        # A per-test wall-clock watchdog must bracket exactly one test,
-        # so run_group degrades to the per-spec planned path.
-        campaign = Campaign(functions=("XM_halt_partition",))
-        plan = campaign.plan()
-        executor = TestExecutor(timeout_s=30.0)
-        ran = []
-        original = TestExecutor.run_planned
-
-        def spying(self, entry):
-            ran.append(entry.test_id)
-            return original(self, entry)
-
-        TestExecutor.run_planned = spying
-        try:
-            records = executor.run_group(plan.groups[0])
-        finally:
-            TestExecutor.run_planned = original
-        assert ran == [e.test_id for e in plan.groups[0]]
-        assert [r.test_id for r in records] == ran
 
     def test_batched_group_uses_shared_loop(self):
         campaign = Campaign(functions=("XM_halt_partition",))

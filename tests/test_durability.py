@@ -1,21 +1,18 @@
-"""Durable campaigns: streaming logs, worker supervision, watchdog, atomic IO."""
+"""Durable campaigns: streaming logs, worker supervision, deadline, atomic IO."""
 
 import json
 import re
-import time
 
 import pytest
+from conftest import HANG_BUDGET_S
 
+from repro.fabric.worker import HANG_SPEC_ENV, KILL_SPEC_ENV
 from repro.fault.campaign import Campaign
 from repro.fault.classify import FailureKind, Severity, classify
-from repro.fault.executor import (
-    HANG_SPEC_ENV,
-    KILL_SPEC_ENV,
-    TestExecutor,
-    worker_killed_record,
-)
+from repro.fault.executor import TestExecutor, worker_killed_record
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.oracle import Expectation
+from repro.fault.resilience import RetryPolicy
 from repro.fault.stats import durability_summary
 from repro.fault.testlog import CampaignLog, TestRecord
 from repro.tsim.simulator import SimSnapshot
@@ -301,14 +298,14 @@ class TestWarmPathLeak:
 
 class TestWatchdog:
     def test_runaway_test_becomes_hung_record(self, monkeypatch):
-        spec = TestCallSpec(
-            "hang#0",
-            "XM_mask_irq",
-            "Interrupt Management",
-            (ArgSpec("irqLine", "1", value=1),),
+        campaign = Campaign(functions=("XM_reset_system",))
+        victim = list(campaign.iter_specs())[0].test_id
+        monkeypatch.setenv(HANG_SPEC_ENV, victim)
+        result = campaign.run(
+            timeout_s=HANG_BUDGET_S,
+            retry_policy=RetryPolicy(max_attempts=1, quorum=1),
         )
-        monkeypatch.setenv(HANG_SPEC_ENV, spec.test_id)
-        record = TestExecutor(timeout_s=0.2).run(spec)
+        record = next(r for r in result.log if r.test_id == victim)
         assert record.sim_hung and record.watchdog_expired
         assert not record.invoked
         classification = classify(record, Expectation())
@@ -320,7 +317,7 @@ class TestWatchdog:
         campaign = Campaign(functions=("XM_reset_system",))
         victim = list(campaign.iter_specs())[1].test_id
         monkeypatch.setenv(HANG_SPEC_ENV, victim)
-        result = campaign.run(timeout_s=0.2)
+        result = campaign.run(timeout_s=HANG_BUDGET_S)
         assert result.total_tests == 5
         hung = [r for r in result.log if r.watchdog_expired]
         assert [r.test_id for r in hung] == [victim]
@@ -329,39 +326,10 @@ class TestWatchdog:
         campaign = Campaign(functions=("XM_reset_system",))
         victim = list(campaign.iter_specs())[1].test_id
         monkeypatch.setenv(HANG_SPEC_ENV, victim)
-        result = campaign.run(processes=2, timeout_s=0.5)
+        result = campaign.run(processes=2, timeout_s=HANG_BUDGET_S)
         assert result.total_tests == 5
         hung = [r for r in result.log if r.watchdog_expired]
         assert [r.test_id for r in hung] == [victim]
-
-    def test_no_watchdog_by_default(self):
-        executor = TestExecutor()
-        assert executor.timeout_s is None
-
-    def test_finished_record_survives_slow_record_build(self, monkeypatch):
-        """The timer is disarmed the moment the run phase ends.
-
-        A test that completes just under the deadline must not have its
-        finished record discarded because SIGALRM fires during
-        _build_record or snapshot recycling.
-        """
-        spec = TestCallSpec(
-            "slowbuild#0",
-            "XM_mask_irq",
-            "Interrupt Management",
-            (ArgSpec("irqLine", "1", value=1),),
-        )
-        original = TestExecutor._build_record
-
-        def slow_build(self, *args, **kwargs):
-            time.sleep(0.5)  # well past the watchdog deadline
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(TestExecutor, "_build_record", slow_build)
-        record = TestExecutor(timeout_s=0.2).run(spec)
-        assert not record.watchdog_expired
-        assert not record.sim_hung
-        assert record.invoked
 
 
 class TestWorkerSupervision:

@@ -20,10 +20,10 @@ from repro.fabric import (
 )
 from repro.fabric.config import PROTOCOL_VERSION
 from repro.fabric.frames import MAX_FRAME
-from repro.fabric.worker import WorkerAgent
+from repro.fabric.worker import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV, WorkerAgent
 from repro.fault import wire
 from repro.fault.campaign import Campaign
-from repro.fault.executor import FAULT_ONCE_DIR_ENV, KILL_SPEC_ENV, TestExecutor
+from repro.fault.executor import TestExecutor
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.plan import CompiledPlan
 from repro.fault.resilience import Quarantine, RetryPolicy
@@ -665,57 +665,3 @@ class TestRogueClients:
         assert [strip_transient(r) for r in result.log] == [
             strip_transient(r) for r in serial.log
         ]
-
-
-class TestThreadWatchdog:
-    """The per-test watchdog must still fire off the main thread."""
-
-    def run_off_main_thread(self, fn):
-        box = {}
-
-        def body():
-            try:
-                box["result"] = fn()
-            except BaseException as exc:  # noqa: BLE001
-                box["raised"] = exc
-
-        thread = threading.Thread(target=body)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        return box
-
-    def test_hung_test_expires_off_main_thread(self, monkeypatch):
-        from repro.fault.executor import HANG_SPEC_ENV, TestExecutor
-
-        campaign = Campaign(functions=("XM_get_time",))
-        specs = list(campaign.iter_specs())
-        monkeypatch.setenv(HANG_SPEC_ENV, specs[0].test_id)
-
-        def run():
-            executor = TestExecutor(
-                kernel_version=campaign.kernel_version, timeout_s=0.3
-            )
-            executor.prepare()
-            return executor.run(specs[0])
-
-        box = self.run_off_main_thread(run)
-        assert "raised" not in box, box.get("raised")
-        assert box["result"].watchdog_expired
-
-    def test_normal_test_unaffected_off_main_thread(self):
-        from repro.fault.executor import TestExecutor
-
-        campaign = Campaign(functions=("XM_get_time",))
-        specs = list(campaign.iter_specs())
-
-        def run():
-            executor = TestExecutor(
-                kernel_version=campaign.kernel_version, timeout_s=5.0
-            )
-            executor.prepare()
-            return executor.run(specs[0])
-
-        box = self.run_off_main_thread(run)
-        assert "raised" not in box, box.get("raised")
-        assert not box["result"].watchdog_expired

@@ -6,14 +6,18 @@ cell runs the paper's three finding-bearing hypercalls either
 uninterrupted or interrupted by the progress hook and resumed from the
 streamed log, and must produce the serial uninterrupted record stream
 field for field, apart from the per-run ``wall_time_s`` and
-``host_context`` provenance.
+``host_context`` provenance.  A wall-clock deadline (``timeout_s``)
+runs on worker processes whichever way it is asked for, and a test that
+hangs once under it is re-run to the same records.
 """
 
 import multiprocessing
 
 import pytest
+from conftest import HANG_BUDGET_S
 
 from repro.fabric import coordinate
+from repro.fabric.worker import FAULT_ONCE_DIR_ENV, HANG_SPEC_ENV
 from repro.fault.campaign import Campaign
 from repro.fault.masking import masked_issue_comparison
 from repro.fault.testlog import CampaignLog
@@ -85,3 +89,29 @@ def test_custom_dictionaries_run_in_parallel():
     assert stream(parallel.full_result) == stream(serial.full_result)
     assert stream(parallel.stripped_result) == stream(serial.stripped_result)
     assert parallel.masked_issue_ids == serial.masked_issue_ids
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "processes", [None, 2], ids=["timeout_s", "processes=2-timeout_s"]
+)
+def test_one_shot_hang_records_equal_serial(
+    processes, reference, tmp_path, monkeypatch
+):
+    campaign = Campaign(functions=TRIO)
+    # The first spec heads its lease, so no thief steals it from the
+    # hung worker: its retry always follows the deadline observation.
+    victim = next(iter(campaign.iter_specs())).test_id
+    monkeypatch.setenv(HANG_SPEC_ENV, victim)
+    monkeypatch.setenv(FAULT_ONCE_DIR_ENV, str(tmp_path))
+    result = campaign.run(processes=processes, timeout_s=HANG_BUDGET_S)
+
+    def unarbitrated(data):
+        return {k: v for k, v in data.items() if k not in ("attempts", "arbitrated")}
+
+    assert [unarbitrated(d) for d in stream(result)] == [
+        unarbitrated(d) for d in reference
+    ]
+    record = next(r for r in result.log if r.test_id == victim)
+    assert (record.attempts, record.arbitrated) == (2, True)
+    assert result.execution_stats["retries"] == 1

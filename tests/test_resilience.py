@@ -15,15 +15,12 @@ import multiprocessing
 import os
 
 import pytest
+from conftest import HANG_BUDGET_S
 
+from repro.fabric.worker import FAULT_ONCE_DIR_ENV, HANG_SPEC_ENV, KILL_SPEC_ENV
 from repro.fault import failpoints
 from repro.fault.campaign import Campaign
-from repro.fault.executor import (
-    FAULT_ONCE_DIR_ENV,
-    HANG_SPEC_ENV,
-    KILL_SPEC_ENV,
-    worker_killed_record,
-)
+from repro.fault.executor import worker_killed_record
 from repro.fault.failpoints import ChaosError, Failpoints, Rule
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.resilience import (
@@ -43,10 +40,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 SUITE = ("XM_reset_system",)  # 5 specs: small enough to soak repeatedly
-#: Watchdog budget of the serial arbitration tests.  The injected hangs
-#: spin until it expires; a clean spec of SUITE takes 0.07-0.27 s on a
-#: 2-CPU host, so 1.5 s keeps innocent specs clear of it on slower hosts.
-HANG_BUDGET_S = 1.5
 
 
 def strip_provenance(record):
@@ -166,8 +159,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError, match="quorum"):
             RetryPolicy(max_attempts=2, quorum=3)
-        with pytest.raises(ValueError, match="backoff_s"):
-            RetryPolicy(backoff_s=-1.0)
 
 
 class TestVerdictArbiter:
@@ -267,6 +258,8 @@ class TestRespawnBreaker:
 
 
 class TestSerialArbitration:
+    """``timeout_s`` without ``processes``: one worker enforces it."""
+
     def test_watchdog_verdict_needs_quorum(self, monkeypatch):
         campaign = Campaign(functions=SUITE)
         victim = next(iter(campaign.iter_specs()))
@@ -275,14 +268,33 @@ class TestSerialArbitration:
         record = next(r for r in result.log if r.test_id == victim.test_id)
         assert record.watchdog_expired and record.sim_hung
         assert (record.attempts, record.arbitrated) == (2, True)
-        assert record.host_context == {
-            "processes": 1,
-            "shard_size": 1,
-            "attempt": 2,
-        }
+        assert record.host_context["processes"] == 1
+        assert record.host_context["attempt"] == 2
         summary = durability_summary(result.log)
         assert summary["arbitrated"] == 1
         assert summary["retried_runs"] == 1
+        assert summary["watchdog_expired"] == 1
+
+    def test_hung_worker_is_replaced(self, monkeypatch):
+        # A permanent hang ends its worker process twice (the quorum):
+        # the supervisor finds the process gone and respawns it, and the
+        # campaign completes with one arbitrated verdict.
+        campaign = Campaign(functions=SUITE)
+        victim = next(iter(campaign.iter_specs()))
+        monkeypatch.setenv(HANG_SPEC_ENV, victim.test_id)
+        result = campaign.run(processes=1, timeout_s=HANG_BUDGET_S)
+        assert len(result.log) == campaign.total_tests()
+        hung = [r for r in result.log if r.watchdog_expired]
+        assert [r.test_id for r in hung] == [victim.test_id]
+        assert hung[0].sim_hung and (hung[0].attempts, hung[0].arbitrated) == (
+            2,
+            True,
+        )
+        assert not any(r.worker_killed for r in result.log)
+        stats = result.execution_stats
+        assert stats["pool_respawns"] == 1  # lost on its first, normal lease
+        assert stats["retries"] == 1
+        assert not stats["degraded_serial"]
 
     def test_transient_hang_is_retried_to_a_genuine_record(
         self, tmp_path, monkeypatch
@@ -305,7 +317,7 @@ class TestSerialArbitration:
 
     def test_serial_run_boots_before_the_first_spec(self, monkeypatch):
         # The warm-boot snapshot is built before any spec runs, so the
-        # first spec's watchdog never pays for it.
+        # first spec's record never pays for it.
         from repro.fault.executor import TestExecutor
 
         events = []

@@ -10,9 +10,9 @@ import multiprocessing
 import pytest
 
 from repro.fabric.coordinator import _lease_size
+from repro.fabric.worker import KILL_SPEC_ENV
 from repro.fault import wire
 from repro.fault.campaign import Campaign
-from repro.fault.executor import KILL_SPEC_ENV
 from repro.fault.mutant import ArgSpec, TestCallSpec
 from repro.fault.testlog import CampaignLog, Invocation, TestRecord
 
