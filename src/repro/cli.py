@@ -83,9 +83,10 @@ def _campaign_options(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="per-test wall-clock deadline in seconds, enforced by worker "
-        "processes (one worker without --processes): a test that overruns "
-        "it ends its worker and gets a watchdog_expired observation "
-        "(default: none)",
+        "processes (one worker without --processes); it covers a test's "
+        "whole step: its run, any --verify-reset/--verify-plan audit and "
+        "its record.  A test that overruns it ends its worker and gets a "
+        "watchdog_expired observation (default: none)",
     )
     p.add_argument(
         "--shard-size",
@@ -372,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--lease-timeout-s", dest="lease_timeout_s", type=float,
             default=None,
             help="seconds a lease may stall before its worker is "
-            "declared lost (default 60)",
+            "declared lost (default 60; raised past --timeout-s, so the "
+            "deadline ends a hung test)",
         )
 
     fabric_run = fabric_sub.add_parser(

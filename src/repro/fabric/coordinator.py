@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro.fabric.config import PROTOCOL_VERSION, FabricConfig
 from repro.fabric.frames import FrameError, encode_frame, read_frame
-from repro.fabric.worker import DEFAULT_FLUSH_RECORDS, run_worker
+from repro.fabric.worker import DEFAULT_FLUSH_RECORDS, FLUSH_INTERVAL_S, run_worker
 from repro.fault import wire
 from repro.fault.campaign import Campaign, CampaignResult
 from repro.fault.executor import worker_killed_record
@@ -149,7 +149,18 @@ class FabricCoordinator:
         self.config = config
         self.batch_records = max(1, batch_records)
         self.heartbeat_s = heartbeat_s
+        #: Seconds without progress after which a lease counts as
+        #: stalled.  Under a deadline the worker ends an overrunning
+        #: test itself and names it, so the reaper waits out that
+        #: report: the test's ``timeout_s``, the records left unflushed
+        #: before it started, and two heartbeats of slack for the
+        #: report to arrive.
         self.lease_timeout_s = lease_timeout_s
+        if config.timeout_s:
+            self.lease_timeout_s = max(
+                lease_timeout_s,
+                config.timeout_s + FLUSH_INTERVAL_S + 2 * heartbeat_s,
+            )
         #: Local worker processes the caller spawns (0 = serve only).
         self.local_workers = workers
         #: Full campaign spec table: wire indices address this, exactly
@@ -589,7 +600,9 @@ def coordinate(
 
     ``timeout_s`` is the per-test wall-clock deadline the workers
     enforce: a test that overruns it ends its worker process, and the
-    spec gets a ``watchdog_expired`` observation for arbitration.
+    spec gets a ``watchdog_expired`` observation for arbitration.  With
+    a deadline, ``lease_timeout_s`` is raised past it, so the stall
+    reaper never ends a hung test before the worker reports it.
 
     Local workers are supervised: a dead one is respawned; a worker
     that dies before any work was leased raises ``RuntimeError`` (it

@@ -6,13 +6,14 @@ heartbeats); the data plane is the same :class:`~repro.fault.executor`
 the serial path uses, running leases on a thread so the event loop keeps
 heartbeating while tests execute.  The event loop also enforces the
 campaign's wall-clock deadline (``FabricConfig.timeout_s``): the
-execution thread marks each test's start in the ``gate`` hook, and a
-test that overruns the deadline cannot be stopped (a thread cannot be
-cancelled), so the agent reports its spec index in one ``deadline``
-frame and ends its own process.  The coordinator turns that report into
-a ``watchdog_expired`` observation for verdict arbitration, exactly as
-it turns a worker death into a ``worker_killed`` one.  Records travel
-back as batches of compact
+execution thread marks each test's start in the ``gate`` hook, so the
+deadline covers a test's whole step up to the next ``gate`` (its run,
+any reset/plan audit, its record).  A test that overruns the deadline
+cannot be stopped (a thread cannot be cancelled), so the agent reports
+its spec index in one ``deadline`` frame and ends its own process.  The
+coordinator turns that report into a ``watchdog_expired`` observation
+for verdict arbitration, exactly as it turns a worker death into a
+``worker_killed`` one.  Records travel back as batches of compact
 :func:`~repro.fault.wire.encode_record` dicts, flushed by count and by
 time so the coordinator always sees lease progress well inside its
 lease timeout.
@@ -274,10 +275,17 @@ class WorkerAgent:
                     continue
                 report = {"type": "deadline", "lease": running[0], "index": running[1]}
                 try:
-                    await asyncio.wait_for(send(report), timeout_s)
+                    await asyncio.wait_for(send_all(report), timeout_s)
                 except (ConnectionError, OSError, asyncio.TimeoutError):
                     pass  # unreported, the coordinator still sees the death
                 os._exit(DEADLINE_EXIT_STATUS)
+
+        async def send_all(message: dict) -> None:
+            # drain() returns once the buffer is below its high-water
+            # mark; a frame still buffered would die with the process.
+            await send(message)
+            while writer.transport.get_write_buffer_size():
+                await asyncio.sleep(0.01)
 
         async def drain_for_done() -> bool:
             # A send can fail *after* the campaign ended: the

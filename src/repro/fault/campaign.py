@@ -307,7 +307,8 @@ class Campaign:
         field-for-field identical records).  The workers are forked and
         receive the suite recipe when they are spawned, so a custom
         model, dictionary set or strategy runs in parallel too; only a
-        custom ``system_factory`` is serial-only.
+        custom ``system_factory`` is serial-only, and so it runs without
+        a deadline (``timeout_s`` is rejected with ``ValueError``).
 
         ``resume_from`` skips tests already present in an earlier log
         (an interrupted campaign picks up where it stopped, like the
@@ -334,7 +335,9 @@ class Campaign:
         ``processes`` the campaign runs on one loopback worker
         (``coordinate(workers=1)``).  A test that overruns the deadline
         ends its worker, which is respawned, and the spec gets a
-        ``watchdog_expired`` observation for arbitration.
+        ``watchdog_expired`` observation for arbitration.  The deadline
+        covers a test's whole step: its run, any ``verify_reset`` /
+        ``verify_plan`` reference run and building its record.
 
         ``retry_policy`` controls verdict arbitration (see
         :class:`~repro.fault.resilience.RetryPolicy`): by default a

@@ -13,6 +13,7 @@ records identical to an uninterrupted run.
 
 import multiprocessing
 import os
+import warnings
 
 import pytest
 from conftest import HANG_BUDGET_S
@@ -295,6 +296,33 @@ class TestSerialArbitration:
         assert stats["pool_respawns"] == 1  # lost on its first, normal lease
         assert stats["retries"] == 1
         assert not stats["degraded_serial"]
+
+    def test_deadline_outlasting_the_lease_timeout_owns_the_hang(
+        self, monkeypatch
+    ):
+        # A lease stall shorter than the deadline must not preempt it:
+        # the hung spec still ends as an arbitrated watchdog_expired
+        # record, not as a worker_killed one blamed on its probes.
+        from repro.fabric import coordinate
+
+        campaign = Campaign(functions=SUITE)
+        victim = next(iter(campaign.iter_specs()))
+        monkeypatch.setenv(HANG_SPEC_ENV, victim.test_id)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = coordinate(
+                campaign,
+                workers=1,
+                timeout_s=HANG_BUDGET_S,
+                heartbeat_s=0.2,
+                lease_timeout_s=HANG_BUDGET_S / 3,
+            )
+        assert len(result.log) == campaign.total_tests()
+        hung = [r for r in result.log if r.watchdog_expired]
+        assert [r.test_id for r in hung] == [victim.test_id]
+        assert (hung[0].attempts, hung[0].arbitrated) == (2, True)
+        assert not any(r.worker_killed for r in result.log)
+        assert not [w for w in caught if "lease progress" in str(w.message)]
 
     def test_transient_hang_is_retried_to_a_genuine_record(
         self, tmp_path, monkeypatch
